@@ -34,11 +34,11 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .heuristics import HeuristicScores, STATIC_STRATEGIES
+from .heuristics import HeuristicScores, STATIC_STRATEGIES, SplitAction
 from .model import Network, NeuronId
 from .numeric import Phase
 from .query import Query
-from .search import Budget, NodeEvent, SplitAction, SplitEvent, verify
+from .search import Budget, NodeEvent, SplitEvent, verify
 
 LOCAL_FEATURE_NAMES = (
     "pre_lower", "pre_upper", "post_lower", "post_upper",
@@ -219,10 +219,6 @@ def act(qnet: QNet, state: StateFeatures, epsilon: float,
     if epsilon > 0.0 and rng.random() < epsilon:
         return int(rng.integers(len(state)))
     return int(np.argmax(q_forward(qnet, state)))
-
-
-def epsilon_schedule(iteration: int) -> float:
-    return max(0.05, 1.0 * 0.95 ** iteration)
 
 
 def double_dqn_target(reward: float, next_state: Optional[StateFeatures],
@@ -456,6 +452,12 @@ class TrainerConfig:
         if not 0.0 < self.epsilon_decay < 1.0:
             raise ValueError("epsilon decay must lie in (0, 1)")
 
+    def epsilon(self, episode: int) -> float:
+        """Exploration rate of a fine-tuning episode: geometric decay from
+        epsilon_start down to the epsilon_min floor."""
+        return max(self.epsilon_min,
+                   self.epsilon_start * self.epsilon_decay ** episode)
+
     @property
     def total_steps(self) -> int:
         return (self.demo_epochs * self.demo_steps
@@ -688,9 +690,8 @@ def train(config: TrainerConfig,
             if p2 >= total_p2:
                 break
             net, query = train_instances[int(oi)]
-            eps = max(config.epsilon_min,
-                      config.epsilon_start * config.epsilon_decay ** episodes)
-            policy = AgentPolicy(qnet, epsilon=eps, rng=rng)
+            policy = AgentPolicy(qnet, epsilon=config.epsilon(episodes),
+                                 rng=rng)
             log: list = []
             collector = TrajectoryCollector()
             verdict = verify(net, query, policy,

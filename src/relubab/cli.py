@@ -12,10 +12,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .harness import (SuiteConfig, SuiteInstance, aggregate,
-                      brute_force_verify, cumulative_curve, gen_random_suite,
-                      load_instance, read_records_csv, run_suite,
-                      write_curve, write_summary)
+from .harness import (SuiteConfig, SuiteInstance, _strategy_object,
+                      aggregate, brute_force_verify, cumulative_curve,
+                      gen_random_suite, load_instance, read_records_csv,
+                      run_suite, write_curve, write_summary)
 from .model import load_nnet
 from .query import load_robustness_manifest, make_robustness_queries, \
     parse_property
@@ -41,39 +41,34 @@ def _add_common(p: argparse.ArgumentParser):
 
 
 def _load_queries(args, net):
-    """Queries from --prop or --robust-manifest."""
+    """Queries on ``net`` from --prop and --robust-manifest, shared by every
+    command that takes --net so that all honour --normalize-inputs."""
+    if not (args.prop or args.robust_manifest):
+        raise SystemExit("need --prop or --robust-manifest")
+    queries = []
     if args.prop:
         text = Path(args.prop).read_text()
-        return [parse_property(text, net, label=Path(args.prop).stem)]
+        queries.append(parse_property(text, net, label=Path(args.prop).stem))
     if args.robust_manifest:
-        queries = []
         rows = load_robustness_manifest(Path(args.robust_manifest).read_text())
         for i, (x0, delta) in enumerate(rows):
-            if getattr(args, "normalize_inputs", False):
+            if args.normalize_inputs:
                 x0 = net.normalize_input(x0)
             queries.extend(make_robustness_queries(
                 net, x0, delta, comparator=args.comparator,
                 label=f"rob{i:04d}"))
         print(f"# comparator={args.comparator} ({len(rows)} points, "
               f"{len(queries)} queries)")
-        return queries
-    raise SystemExit("need --prop or --robust-manifest")
-
-
-def _strategy(args):
-    if args.strategy == "agent":
-        from .agent import AgentPolicy, load_checkpoint
-        if not args.checkpoint:
-            raise SystemExit("--strategy agent needs --checkpoint")
-        qnet, _ = load_checkpoint(args.checkpoint)
-        return AgentPolicy(qnet)
-    return args.strategy
+    return queries
 
 
 def cmd_verify(args) -> int:
     net = load_nnet(Path(args.net).read_text())
     queries = _load_queries(args, net)
-    strategy = _strategy(args)
+    try:
+        strategy = _strategy_object(args.strategy, args.checkpoint)
+    except ValueError as err:  # agent without a usable --checkpoint
+        raise SystemExit(f"--strategy {args.strategy}: {err}") from None
     any_sat = False
     for query in queries:
         log = [] if args.log else None
@@ -114,17 +109,10 @@ def _suite_instances(args) -> list[SuiteInstance]:
             prop = net_path.with_suffix(".prop")
             if prop.exists():
                 instances.append(load_instance(net_path, prop))
-    if args.net and args.prop:
-        instances.append(load_instance(args.net, args.prop))
-    if args.net and args.robust_manifest:
+    if args.net:
         net = load_nnet(Path(args.net).read_text())
-        rows = load_robustness_manifest(Path(args.robust_manifest).read_text())
-        for i, (x0, delta) in enumerate(rows):
-            for q in make_robustness_queries(net, x0, delta,
-                                             comparator=args.comparator,
-                                             label=f"rob{i:04d}"):
-                instances.append(SuiteInstance(query_id=q.label, net=net,
-                                               query=q))
+        instances.extend(SuiteInstance(query_id=q.label, net=net, query=q)
+                         for q in _load_queries(args, net))
     if not instances:
         raise SystemExit("no instances (use --suite-dir, or --net with "
                          "--prop/--robust-manifest)")

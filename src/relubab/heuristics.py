@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Network, NeuronId
-from .numeric import Phase
+from .numeric import Phase, VarMap
 
 PI_BETA = 0.5
 INITIAL_SPLIT_DEPTH = 3  # nodes at depth <= 3 split by Pseudo-Impact
@@ -40,17 +40,37 @@ INITIAL_SPLIT_DEPTH = 3  # nodes at depth <= 3 split by Pseudo-Impact
 STATIC_STRATEGIES = ("soi", "polarity", "pseudo-impact", "babsr")
 
 
-def soi_error(n_b: float, n_a: float) -> float:
-    """Deviation of one (pre, post) relaxation pair from exact ReLU."""
-    return min(n_a - n_b, n_a)
+@dataclass(frozen=True)
+class SplitAction:
+    neuron: NeuronId
+    phase: Phase
+
+    def complement(self) -> "SplitAction":
+        other = Phase.INACTIVE if self.phase is Phase.ACTIVE else Phase.ACTIVE
+        return SplitAction(self.neuron, other)
+
+    def __str__(self) -> str:
+        return f"{self.neuron}:{self.phase.short.lower()}"
 
 
-def soi_total(node) -> float:
-    """Sum of soi_error over all ReLU neurons; 0 means every ReLU is exact."""
-    values = node.relu_values()
-    if values is None:
+def soi_error(n_b, n_a):
+    """Deviation of (pre, post) relaxation values from exact ReLU;
+    elementwise on arrays."""
+    return np.minimum(n_a - n_b, n_a)
+
+
+def relu_soi(solution: np.ndarray, vmap: VarMap) -> dict[int, np.ndarray]:
+    """soi_error of every ReLU neuron at a relaxation solution, per layer."""
+    if solution is None or vmap is None:
         raise ValueError("node has no relaxation solution")
-    return float(sum(soi_error(b, a) for b, a in values.values()))
+    return {k: soi_error(solution[vmap.pre[k]], solution[vmap.post[k]])
+            for k in vmap.pre}
+
+
+def soi_total(solution: np.ndarray, vmap: VarMap) -> float:
+    """Sum of soi_error over all ReLU neurons; 0 means every ReLU is exact."""
+    return sum((float(np.sum(e)) for e in relu_soi(solution, vmap).values()),
+               0.0)
 
 
 def polarity(a: float, b: float) -> float:
@@ -118,10 +138,13 @@ class HeuristicScores:
     pi: dict[NeuronId, float]
 
 
-def compute_scores(net: Network, node, output_direction: np.ndarray) -> HeuristicScores:
+def compute_scores(net: Network, node, output_direction: np.ndarray,
+                   pi: dict[NeuronId, float]) -> HeuristicScores:
+    """Scores of an open node; ``pi`` is the run's Pseudo-Impact table."""
     unfixed = node.unfixed()
-    values = node.relu_values() or {}
-    soi = {nid: soi_error(b, a) for nid, (b, a) in values.items()}
+    soi = {NeuronId(k, i): float(e)
+           for k, errs in relu_soi(node.solution, node.vmap).items()
+           for i, e in enumerate(errs)}
     pol: dict[NeuronId, float] = {}
     for nid in unfixed:
         lo, up = node.bounds.pre(nid)
@@ -133,7 +156,7 @@ def compute_scores(net: Network, node, output_direction: np.ndarray) -> Heuristi
             pol[nid] = polarity(lo, up)
     babsr = babsr_scores(net, node.bounds, node.phases, output_direction)
     return HeuristicScores(unfixed=unfixed, soi=soi, polarity=pol,
-                           babsr=babsr, pi=node.pi_table)
+                           babsr=babsr, pi=pi)
 
 
 def _argbest(ids: list[NeuronId], key, bigger_is_better: bool) -> NeuronId:
@@ -156,8 +179,6 @@ def select_split(node, strategy, rng, scores: HeuristicScores,
     convention; a policy object with a ``choose`` method (the learned agent)
     picks both neuron and phase.
     """
-    from .search import SplitAction  # local import avoids a module cycle
-
     ids = scores.unfixed
     if not ids:
         raise ValueError("no unfixed neuron to split on")

@@ -26,6 +26,7 @@ from .model import Network, NeuronId
 
 TOL_LP = 1e-7
 _CONFLICT_EPS = 1e-9
+SAT_SOI_TOL = 1e-6     # total SoI at or below this makes a node a SAT candidate
 _BOUND_SAFETY = 1e-9   # sound-side inflation of LP-tightened bounds
 _PIVOT_EPS = 1e-9
 _RATIO_TIE = 1e-10

@@ -1,13 +1,21 @@
 """Depth-first branch-and-bound over ReLU phases.
 
-Each node runs deduction to a fixpoint (interval propagation, optional
-LP tightening, phase deduction), then solves its triangle relaxation for
-the most-violating point. A node closes as a conflict when deduction
-empties it, and as SAT when even that point satisfies every ReLU exactly
-(total SoI within tolerance) together with the output property; the
-point's input part is the witness. Splitting deduces both children eagerly
-(the sibling's deduction feeds the Pseudo-Impact table), then explores the
+``expand`` is the one place a node is built: it fixes the split neuron's
+phase in a copy of the parent's phases, runs deduction to a fixpoint
+(interval propagation, optional LP tightening, phase deduction), then
+solves the triangle relaxation for the most-violating point. A node
+closes as a conflict when deduction empties it, and as SAT when even that
+point satisfies every ReLU exactly (total SoI within tolerance) together
+with the output property; the point's input part is the witness. The
+engine around it only keeps the books: budget, node ids, the event log
+and the Pseudo-Impact table. Splitting deduces both children eagerly (the
+sibling's deduction feeds the Pseudo-Impact table), then explores the
 chosen phase first.
+
+``tests/test_golden.py`` pins the event logs of a fixed suite, byte for
+byte, for every strategy with LP tightening on and off. A change that
+alters trees on purpose regenerates them with
+``PYTHONPATH=src python tests/test_golden.py``.
 
 Event log text format, one record per line:
 
@@ -23,33 +31,17 @@ reward bookkeeping and the tests recount subtree sizes from these lines.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .heuristics import PI_BETA, compute_scores, pseudo_impact_update, \
-    select_split
+from .heuristics import PI_BETA, SplitAction, compute_scores, \
+    pseudo_impact_update, select_split, soi_total
 from .model import Network, NeuronId
-from .numeric import BoundsMap, Conflict, Phase, VarMap, propagate_intervals, \
-    solve_relaxation, tighten_bounds_lp
+from .numeric import SAT_SOI_TOL, _CONFLICT_EPS, BoundsMap, Conflict, Phase, \
+    VarMap, propagate_intervals, solve_relaxation, tighten_bounds_lp
 from .query import Query, Verdict, check_witness
-
-SAT_SOI_TOL = 1e-6
-_CONFLICT_EPS = 1e-9
-
-
-@dataclass(frozen=True)
-class SplitAction:
-    neuron: NeuronId
-    phase: Phase
-
-    def complement(self) -> "SplitAction":
-        other = Phase.INACTIVE if self.phase is Phase.ACTIVE else Phase.ACTIVE
-        return SplitAction(self.neuron, other)
-
-    def __str__(self) -> str:
-        return f"{self.neuron}:{self.phase.short.lower()}"
 
 
 @dataclass
@@ -69,36 +61,29 @@ class _Timeout(Exception):
 
 @dataclass
 class NodeState:
-    """One BaB node after deduction."""
+    """One BaB node after deduction, as built by ``expand``.
+
+    A conflict node carries no bounds, solution or SoI; its phases are
+    those deduced before the conflict. ``node_id`` and
+    ``splits_so_far`` (the run's split count when the node was visited) are
+    set by the engine.
+    """
 
     phases: dict[NeuronId, Phase]
-    bounds: BoundsMap | None
     depth: int
-    splits_so_far: int
-    solution: np.ndarray | None
-    vmap: VarMap | None
-    soi: float | None
     status: str  # "open" | "conflict" | "sat"
+    bounds: BoundsMap | None = None
+    solution: np.ndarray | None = None
+    vmap: VarMap | None = None
+    soi: float | None = None
     witness: np.ndarray | None = None
-    pi_table: dict[NeuronId, float] = field(default_factory=dict)
-    node_id: int = -1
-    parent_id: int = -1
     action: SplitAction | None = None
+    parent_id: int = -1
+    node_id: int = -1
+    splits_so_far: int = 0
 
     def unfixed(self) -> list[NeuronId]:
         return sorted(n for n, p in self.phases.items() if p is Phase.UNFIXED)
-
-    def relu_values(self) -> dict[NeuronId, tuple[float, float]] | None:
-        """(pre, post) per ReLU neuron from the relaxation solution."""
-        if self.solution is None or self.vmap is None:
-            return None
-        out = {}
-        for k in self.vmap.pre:
-            pre = self.solution[self.vmap.pre[k]]
-            post = self.solution[self.vmap.post[k]]
-            for i in range(pre.shape[0]):
-                out[NeuronId(k, i)] = (float(pre[i]), float(post[i]))
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -225,13 +210,12 @@ def _interval_output_conflict(bounds: BoundsMap, constraints) -> None:
             raise Conflict(f"output interval violates {con}")
 
 
-def _deduce_node(net: Network, query: Query, phases: dict[NeuronId, Phase],
-                 clip: BoundsMap | None, tighten: bool):
-    """Run deduction to a fixpoint; returns the node ingredients.
+def _deduce_bounds(net: Network, query: Query, phases: dict[NeuronId, Phase],
+                   clip: BoundsMap | None, tighten: bool) -> BoundsMap:
+    """Run deduction to a fixpoint, fixing ``phases`` in place.
 
     Raises Conflict when the node is empty.
     """
-    phases = dict(phases)
     carry = clip
     while True:
         bounds = propagate_intervals(net, query.input_lower, query.input_upper,
@@ -243,7 +227,7 @@ def _deduce_node(net: Network, query: Query, phases: dict[NeuronId, Phase],
             carry = bounds
             continue
         if not tighten:
-            break
+            return bounds
         tightened = tighten_bounds_lp(net, bounds, phases, query.constraints)
         fixes = deduce_phases(tightened, phases)
         if fixes:
@@ -259,29 +243,50 @@ def _deduce_node(net: Network, query: Query, phases: dict[NeuronId, Phase],
             phases.update(fixes)
             carry = refreshed
             continue
-        bounds = refreshed
-        break
+        return refreshed
 
-    result, vmap = solve_relaxation(net, bounds, phases, query.constraints)
-    if not result.feasible:
-        raise Conflict("relaxation infeasible")
-    sol = result.x
-    soi = 0.0
-    for k in vmap.pre:
-        pre = sol[vmap.pre[k]]
-        post = sol[vmap.post[k]]
-        soi += float(np.sum(np.minimum(post - pre, post)))
 
+def expand(net: Network, query: Query, parent: NodeState | None,
+           action: SplitAction | None, *, tighten: bool) -> NodeState:
+    """The deduced child of ``parent`` under ``action``; the root node when
+    both are None.
+
+    A Conflict during deduction yields a closed child (status "conflict")
+    rather than an exception; the sibling is the expansion under the
+    complementary action.
+    """
+    if parent is None:
+        phases = {nid: Phase.UNFIXED for nid in net.relu_ids()}
+        depth, clip, parent_id = 0, None, -1
+    else:
+        if parent.phases.get(action.neuron) is not Phase.UNFIXED:
+            raise ValueError(f"{action.neuron} is not unfixed in this node")
+        phases = dict(parent.phases)
+        phases[action.neuron] = action.phase
+        depth, clip, parent_id = (parent.depth + 1, parent.bounds,
+                                  parent.node_id)
+    try:
+        bounds = _deduce_bounds(net, query, phases, clip, tighten)
+        result, vmap = solve_relaxation(net, bounds, phases, query.constraints)
+        if not result.feasible:
+            raise Conflict("relaxation infeasible")
+    except Conflict:
+        return NodeState(phases=phases, depth=depth, status="conflict",
+                         action=action, parent_id=parent_id)
+
+    soi = soi_total(result.x, vmap)
     status, witness = "open", None
     if soi <= SAT_SOI_TOL:
-        candidate = sol[vmap.x].copy()
+        candidate = result.x[vmap.x].copy()
         if check_witness(net, query, candidate):
             status, witness = "sat", candidate
-        elif not any(p is Phase.UNFIXED for p in phases.values()):
+        elif Phase.UNFIXED not in phases.values():
             raise RuntimeError(
                 "fully fixed node is LP-feasible but its witness fails "
                 "validation; solver tolerance breach")
-    return phases, bounds, sol, vmap, soi, status, witness
+    return NodeState(phases=phases, depth=depth, status=status, bounds=bounds,
+                     solution=result.x, vmap=vmap, soi=soi, witness=witness,
+                     action=action, parent_id=parent_id)
 
 
 # ---------------------------------------------------------------------------
@@ -314,10 +319,9 @@ class _Engine:
                                     axis=0)
         self.pi_table: dict[NeuronId, float] = {}
         self.fctx = FeatureContext(net.num_relus, None)
-        self.iterations = 0
+        self.iterations = 0  # also the id of the next node
         self.splits = 0
         self.t0 = time.monotonic()
-        self.next_id = 0
 
     def _elapsed_ms(self) -> float:
         return (time.monotonic() - self.t0) * 1000.0
@@ -328,36 +332,20 @@ class _Engine:
         if time.monotonic() - self.t0 > self.budget.timeout_s:
             raise _Timeout
 
-    def _visit(self, phases: dict[NeuronId, Phase], depth: int,
-               parent: NodeState | None, action: SplitAction | None) -> NodeState:
+    def _visit(self, parent: NodeState | None,
+               action: SplitAction | None) -> NodeState:
         self._check_budget()
+        node = expand(self.net, self.query, parent, action,
+                      tighten=self.tighten)
+        node.node_id = self.iterations
+        node.splits_so_far = self.splits
         self.iterations += 1
-        node_id = self.next_id
-        self.next_id += 1
-        clip = parent.bounds if parent is not None else None
-        try:
-            phases, bounds, sol, vmap, soi, status, witness = _deduce_node(
-                self.net, self.query, phases, clip, self.tighten)
-            node = NodeState(phases=phases, bounds=bounds, depth=depth,
-                             splits_so_far=self.splits, solution=sol,
-                             vmap=vmap, soi=soi, status=status,
-                             witness=witness, pi_table=self.pi_table,
-                             node_id=node_id,
-                             parent_id=parent.node_id if parent else -1,
-                             action=action)
-        except Conflict:
-            node = NodeState(phases=dict(phases), bounds=None, depth=depth,
-                             splits_so_far=self.splits, solution=None,
-                             vmap=None, soi=None, status="conflict",
-                             pi_table=self.pi_table, node_id=node_id,
-                             parent_id=parent.node_id if parent else -1,
-                             action=action)
         self.events.append(NodeEvent(
-            node_id=node.node_id, parent_id=node.parent_id, depth=depth,
+            node_id=node.node_id, parent_id=node.parent_id, depth=node.depth,
             action=action, result=node.status,
             unfixed=len(node.unfixed()) if node.bounds is not None else 0,
             soi=node.soi))
-        if action is not None and parent is not None and parent.soi is not None:
+        if action is not None:  # every expanded parent is open, with an SoI
             child_soi = node.soi if node.status == "open" else 0.0
             delta = abs(parent.soi - child_soi)
             self.pi_table[action.neuron] = pseudo_impact_update(
@@ -374,11 +362,10 @@ class _Engine:
             self.pi_table[nid] = w / wmax if wmax > 0 else 0.0
 
     def _pick_action(self, node: NodeState) -> SplitAction:
-        scores = compute_scores(self.net, node, self.out_direction)
+        scores = compute_scores(self.net, node, self.out_direction,
+                                self.pi_table)
         if self.force:
             action = self.force.pop(0)
-            if node.phases.get(action.neuron) is not Phase.UNFIXED:
-                raise ValueError(f"forced action on fixed neuron {action.neuron}")
         else:
             action = select_split(node, self.strategy, self.rng, scores,
                                   net=self.net, fctx=self.fctx)
@@ -392,17 +379,11 @@ class _Engine:
             self.collector.on_split(self.net, node, scores, action, self.fctx)
         return action
 
-    def _child_phases(self, node: NodeState, action: SplitAction):
-        phases = dict(node.phases)
-        phases[action.neuron] = action.phase
-        return phases
-
     def run(self) -> Verdict:
         outcome = "UNSAT"
         witness = None
         try:
-            all_unfixed = {nid: Phase.UNFIXED for nid in self.net.relu_ids()}
-            root = self._visit(all_unfixed, 0, None, None)
+            root = self._visit(None, None)
             if root.status == "sat":
                 outcome, witness = "SAT", root.witness
             elif root.status == "conflict":
@@ -426,13 +407,10 @@ class _Engine:
             node, pending = stack[-1]
             if pending is None:
                 action = self._pick_action(node)
-                chosen = self._visit(self._child_phases(node, action),
-                                     node.depth + 1, node, action)
+                chosen = self._visit(node, action)
                 if chosen.status == "sat":
                     return "SAT", chosen.witness
-                sib_action = action.complement()
-                sibling = self._visit(self._child_phases(node, sib_action),
-                                      node.depth + 1, node, sib_action)
+                sibling = self._visit(node, action.complement())
                 if sibling.status == "sat":
                     return "SAT", sibling.witness
                 stack[-1][1] = [c for c in (chosen, sibling)
@@ -459,38 +437,3 @@ def verify(net: Network, query: Query, strategy="babsr",
                      tighten, force_first, event_log, collector)
     return engine.run()
 
-
-def root_node(net: Network, query: Query, *, tighten: bool = True) -> NodeState:
-    """Deduced root NodeState (unit-test and inspection helper)."""
-    all_unfixed = {nid: Phase.UNFIXED for nid in net.relu_ids()}
-    phases, bounds, sol, vmap, soi, status, witness = _deduce_node(
-        net, query, all_unfixed, None, tighten)
-    return NodeState(phases=phases, bounds=bounds, depth=0, splits_so_far=0,
-                     solution=sol, vmap=vmap, soi=soi, status=status,
-                     witness=witness)
-
-
-def apply_split(net: Network, query: Query, node: NodeState,
-                action: SplitAction, *, tighten: bool = True) -> NodeState:
-    """Child of ``node`` under ``action``, fully re-deduced.
-
-    A Conflict during deduction yields a closed child (status "conflict")
-    rather than an exception; the sibling is obtained by applying the
-    complementary action.
-    """
-    if node.phases.get(action.neuron) is not Phase.UNFIXED:
-        raise ValueError(f"{action.neuron} is not unfixed in this node")
-    phases = dict(node.phases)
-    phases[action.neuron] = action.phase
-    try:
-        phases, bounds, sol, vmap, soi, status, witness = _deduce_node(
-            net, query, phases, node.bounds, tighten)
-        return NodeState(phases=phases, bounds=bounds, depth=node.depth + 1,
-                         splits_so_far=node.splits_so_far + 1, solution=sol,
-                         vmap=vmap, soi=soi, status=status, witness=witness,
-                         pi_table=node.pi_table)
-    except Conflict:
-        return NodeState(phases=phases, bounds=None, depth=node.depth + 1,
-                         splits_so_far=node.splits_so_far + 1, solution=None,
-                         vmap=None, soi=None, status="conflict",
-                         pi_table=node.pi_table)

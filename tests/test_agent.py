@@ -4,7 +4,7 @@ import pytest
 from relubab.agent import (FEATURE_NAMES, INPUT_WIDTH, AgentPolicy, QNet,
                            ReplayBuffer, TrainerConfig, TrajectoryCollector,
                            Transition, act, compute_gradients,
-                           double_dqn_target, epsilon_schedule, featurize,
+                           double_dqn_target, featurize,
                            generate_demonstrations, load_checkpoint,
                            loss_given_targets, margin_loss, prepare_targets,
                            q_forward, record_delayed_rewards, sample_prioritized,
@@ -15,7 +15,7 @@ from relubab.model import NeuronId
 from relubab.numeric import Phase
 from relubab.query import example_property
 from relubab.search import (Budget, NodeEvent, SplitAction, SplitEvent,
-                            apply_split, root_node, verify, FeatureContext)
+                            expand, verify, FeatureContext)
 
 N1 = NeuronId(0, 0)
 N2 = NeuronId(0, 1)
@@ -23,10 +23,9 @@ N2 = NeuronId(0, 1)
 
 def toy_root_features(toy, toy_query):
     from relubab.heuristics import compute_scores
-    root = root_node(toy, toy_query)
-    root.pi_table = {N1: 1.0, N2: 0.75}
+    root = expand(toy, toy_query, None, None, tighten=True)
     fctx = FeatureContext(toy.num_relus, root.bounds)
-    scores = compute_scores(toy, root, np.array([1.0]))
+    scores = compute_scores(toy, root, np.array([1.0]), {N1: 1.0, N2: 0.75})
     return featurize(root, scores, fctx), root, fctx
 
 
@@ -54,13 +53,13 @@ class TestFeaturize:
 
     def test_one_unfixed_two_candidates(self, toy, toy_query):
         from relubab.heuristics import compute_scores
-        root = root_node(toy, toy_query)
-        child = apply_split(toy, toy_query, root,
-                            SplitAction(N1, Phase.ACTIVE))
-        child.pi_table = {N1: 1.0, N2: 0.75}
+        root = expand(toy, toy_query, None, None, tighten=True)
+        child = expand(toy, toy_query, root, SplitAction(N1, Phase.ACTIVE),
+                       tighten=True)
         fctx = FeatureContext(toy.num_relus, root.bounds)
         fctx.running_max_splits = 1
-        scores = compute_scores(toy, child, np.array([1.0]))
+        scores = compute_scores(toy, child, np.array([1.0]),
+                                {N1: 1.0, N2: 0.75})
         state = featurize(child, scores, fctx)
         assert len(state) == 2
         assert {c[0] for c in state.candidates} == {N2}
@@ -73,7 +72,7 @@ class TestFeaturize:
 
     def test_no_unfixed_rejected(self, toy, toy_query):
         from relubab.heuristics import HeuristicScores
-        root = root_node(toy, toy_query)
+        root = expand(toy, toy_query, None, None, tighten=True)
         fctx = FeatureContext(toy.num_relus, root.bounds)
         empty = HeuristicScores(unfixed=[], soi={}, polarity={}, babsr={},
                                 pi={})
@@ -160,13 +159,20 @@ class TestAct:
 
 class TestSchedules:
     def test_epsilon_start(self):
-        assert epsilon_schedule(0) == 1.0
+        assert TrainerConfig().epsilon(0) == 1.0
 
     def test_epsilon_decay(self):
-        assert epsilon_schedule(1) == pytest.approx(0.95)
+        assert TrainerConfig().epsilon(1) == pytest.approx(0.95)
 
     def test_epsilon_floor(self):
-        assert epsilon_schedule(1000) == 0.05
+        assert TrainerConfig().epsilon(1000) == 0.05
+
+    def test_epsilon_custom_decay(self):
+        config = TrainerConfig(epsilon_start=0.8, epsilon_decay=0.5,
+                               epsilon_min=0.1)
+        assert config.epsilon(1) == pytest.approx(0.4)
+        assert config.epsilon(3) == pytest.approx(0.1)
+        assert config.epsilon(4) == 0.1
 
 
 class _FixedNet:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from relubab.cli import main
-from relubab.harness import gen_random_suite
+from relubab.harness import gen_random_suite, read_records_csv
 from relubab.model import emit_nnet, toy_network
 
 
@@ -102,6 +102,18 @@ def test_normalize_inputs_flag(tmp_path, capsys):
                  "--normalize-inputs"]) == 0
     out = capsys.readouterr().out
     assert "rob0000" in out and ("SAT" in out or "UNSAT" in out)
+    verified = {label: (outcome, int(its.split("=")[1]))
+                for label, outcome, its, *_ in
+                (line.split() for line in out.splitlines()
+                 if line.startswith("rob"))}
+    # bench builds the same queries from the same manifest and flags
+    bench_out = tmp_path / "bench"
+    assert main(["bench", "--net", str(net_path),
+                 "--robust-manifest", str(manifest), "--normalize-inputs",
+                 "--strategies", "babsr", "--out", str(bench_out)]) == 0
+    benched = {r.query_id: (r.verdict, r.iterations)
+               for r in read_records_csv(bench_out / "records.csv")}
+    assert benched == verified
 
 
 def test_train_command(tmp_path, capsys):

@@ -3,12 +3,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from relubab.heuristics import (HeuristicScores, babsr_scores, compute_scores,
-                                polarity, pseudo_impact_update, select_split,
-                                soi_error, soi_total)
+from relubab.heuristics import (HeuristicScores, SplitAction, babsr_scores,
+                                compute_scores, polarity, pseudo_impact_update,
+                                relu_soi, select_split, soi_error, soi_total)
 from relubab.model import NeuronId
 from relubab.numeric import Phase, propagate_intervals
-from relubab.search import SplitAction
 
 N1 = NeuronId(0, 0)
 N2 = NeuronId(0, 1)
@@ -26,22 +25,27 @@ class TestSoiError:
 
 
 class TestSoiTotal:
-    def _node(self, values):
-        return SimpleNamespace(relu_values=lambda: values)
+    # one layer of two neurons: solution = (pre N1, pre N2, post N1, post N2)
+    VMAP = SimpleNamespace(pre={0: slice(0, 2)}, post={0: slice(2, 4)})
+
+    def _total(self, pre, post):
+        return soi_total(np.array([*pre, *post]), self.VMAP)
 
     def test_all_exact(self):
-        assert soi_total(self._node({N1: (0.5, 0.5), N2: (-1.0, 0.0)})) == 0.0
+        assert self._total((0.5, -1.0), (0.5, 0.0)) == 0.0
 
     def test_single_violation(self):
-        assert soi_total(self._node({N1: (2.0, 3.0), N2: (0.1, 0.1)})) == 1.0
+        assert self._total((2.0, 0.1), (3.0, 0.1)) == 1.0
 
     def test_toy_root_relaxed_apex(self):
         # both neurons at (pre, post) = (0, 0.5): each error is 0.5
-        assert soi_total(self._node({N1: (0.0, 0.5), N2: (0.0, 0.5)})) == 1.0
+        assert self._total((0.0, 0.0), (0.5, 0.5)) == 1.0
+        per_neuron = relu_soi(np.array([0.0, 0.0, 0.5, 0.5]), self.VMAP)
+        np.testing.assert_array_equal(per_neuron[0], [0.5, 0.5])
 
     def test_missing_solution(self):
         with pytest.raises(ValueError):
-            soi_total(SimpleNamespace(relu_values=lambda: None))
+            soi_total(None, None)
 
 
 class TestPolarity:

@@ -2,15 +2,14 @@ import numpy as np
 import pytest
 
 from conftest import make_random_net
-from relubab.harness import brute_force_verify
+from relubab.harness import brute_force_verify, gen_random_suite
 from relubab.model import Layer, Network, NeuronId, evaluate
 from relubab.numeric import Phase, propagate_intervals
 from relubab.query import (OutputConstraint, Query, check_witness,
                            example_property)
 from relubab.search import (Budget, NodeEvent, SplitAction, SplitEvent,
-                            VerdictEvent, apply_split, deduce_phases,
-                            events_to_text, parse_event_log, root_node,
-                            verify)
+                            VerdictEvent, deduce_phases, events_to_text,
+                            expand, parse_event_log, verify)
 
 N1 = NeuronId(0, 0)
 N2 = NeuronId(0, 1)
@@ -75,6 +74,29 @@ class TestVerifyToy:
             run[name] = verdict.iterations
         assert run["n1"] < run["n2"]
 
+    def test_splits_so_far_counts_the_run(self):
+        # a node records the run's split count when it is visited; after
+        # backtracking that exceeds its depth (the splits on its own path)
+        inst = gen_random_suite(seed=7, count=4, n_relus=(6, 10))[3]
+        split_nodes = []
+
+        class Recorder:
+            def on_split(self, net, node, scores, action, fctx):
+                split_nodes.append(node)
+
+        log = []
+        verify(inst.net, inst.query, "babsr", Budget(seed=0), tighten=False,
+               event_log=log, collector=Recorder())
+        splits_before, count = {}, 0
+        for ev in log:
+            if isinstance(ev, SplitEvent):
+                count += 1
+            elif isinstance(ev, NodeEvent):
+                splits_before[ev.node_id] = count
+        assert all(n.splits_so_far == splits_before[n.node_id]
+                   for n in split_nodes)
+        assert any(n.splits_so_far > n.depth for n in split_nodes)
+
 
 class TestDeducePhases:
     def test_negative_interval_fixes_inactive(self, toy):
@@ -107,25 +129,29 @@ class TestApplySplit:
         # phase fixing alone gives 2 x1 >= 0; the node LP also carries
         # y <= -0.5, i.e. -2 x1 + post2 <= -0.5 with post2 >= 0, so the
         # tightened lower bound is 0.25
-        root = root_node(toy, toy_query)
-        child = apply_split(toy, toy_query, root, SplitAction(N1, Phase.ACTIVE))
+        root = expand(toy, toy_query, None, None, tighten=True)
+        child = expand(toy, toy_query, root, SplitAction(N1, Phase.ACTIVE),
+                       tighten=True)
         assert child.status == "open"
         assert child.depth == 1
-        assert child.splits_so_far == 1
+        assert child.action == SplitAction(N1, Phase.ACTIVE)
         assert child.bounds.input_lower[0] == pytest.approx(0.25, abs=1e-6)
         assert child.bounds.input_lower[0] >= 0.0
 
     def test_inactive_split_is_closed_child(self, toy, toy_query):
-        root = root_node(toy, toy_query)
-        child = apply_split(toy, toy_query, root,
-                            SplitAction(N1, Phase.INACTIVE))
+        root = expand(toy, toy_query, None, None, tighten=True)
+        child = expand(toy, toy_query, root, SplitAction(N1, Phase.INACTIVE),
+                       tighten=True)
         assert child.status == "conflict"
+        assert child.bounds is None and child.soi is None
 
     def test_split_on_fixed_neuron_rejected(self, toy, toy_query):
-        root = root_node(toy, toy_query)
-        child = apply_split(toy, toy_query, root, SplitAction(N1, Phase.ACTIVE))
+        root = expand(toy, toy_query, None, None, tighten=True)
+        child = expand(toy, toy_query, root, SplitAction(N1, Phase.ACTIVE),
+                       tighten=True)
         with pytest.raises(ValueError):
-            apply_split(toy, toy_query, child, SplitAction(N1, Phase.ACTIVE))
+            expand(toy, toy_query, child, SplitAction(N1, Phase.ACTIVE),
+                   tighten=True)
 
     def test_children_partition_parent(self, toy, toy_query):
         # sampled points of the parent region land in exactly one strict

@@ -6,7 +6,9 @@ Three layers of machinery live here:
   clipping and conflict detection;
 * a dense two-phase simplex over box-bounded variables with Bland's
   anti-cycling rule, supporting warm-started re-optimization of the same
-  system under many objectives;
+  system under many objectives; its tableau holds only the columns that
+  can enter the basis, and it takes exactly the pivots of textbook Bland
+  on the full tableau;
 * construction of a node's triangle LP relaxation and LP-based bound
   tightening on top of it.
 
@@ -242,6 +244,14 @@ class BoundedSimplex:
     maintained explicitly, which is plenty at desk scale and keeps pivots
     O(m*n). After find_feasible(), optimize() may be called repeatedly with
     different objectives; each call restarts phase 2 from the current basis.
+
+    The tableau ``T`` holds only the columns that can ever enter the basis
+    (``up > lo``), listed in ascending order by ``cols``: pinned structurals
+    and locked artificials are dropped at construction, and every artificial
+    once phase 1 succeeds. A dropped column is never eligible, so the pivots
+    are exactly those of textbook Bland on the full tableau, and every kept
+    entry, ``beta`` and the solution have the same values. ``lo``, ``up``,
+    ``status`` and ``basis`` index all columns.
     """
 
     _LOWER, _UPPER, _BASIC = 0, 1, 2
@@ -298,70 +308,112 @@ class BoundedSimplex:
                 dvec[i] = sigma
             self.basis[i] = j
             self.status[j] = self._BASIC
-        self.T = A * dvec[:, None]
         self.beta = dvec * resid
         self._feasible: bool | None = None
+        cols = np.nonzero(self.up > self.lo)[0]
+        self._set_columns(cols, A[:, cols] * dvec[:, None])
+
+    def _set_columns(self, cols: np.ndarray, T: np.ndarray) -> None:
+        """Install the tableau ``T`` over columns ``cols`` and its buffers."""
+        self.cols = cols
+        self.T = np.ascontiguousarray(T)
+        self._pos = np.full(self.ncols, -1)
+        self._pos[cols] = np.arange(cols.size)
+        m, k = self.T.shape
+        self._outer = np.empty((m, k))
+        self._d = np.empty(k)
+        self._elig = np.empty(k, dtype=bool)
+        self._trow = np.empty(k)
+        self._colv = np.empty(m)
+        self._rate = np.empty(m)
+        self._arate = np.empty(m)
+        self._num = np.empty(m)
+        self._limits = np.empty(m)
+        self._bounded = np.empty(m, dtype=bool)
+        self._inc = np.empty(m, dtype=bool)
 
     # -- core pivoting loop ------------------------------------------------
 
     def _iterate(self, c: np.ndarray) -> None:
+        T, beta, basis, status = self.T, self.beta, self.basis, self.status
+        cols, pos, lo, up = self.cols, self._pos, self.lo, self.up
+        d, elig, trow, colv = self._d, self._elig, self._trow, self._colv
+        rate, arate, num = self._rate, self._arate, self._num
+        limits, bounded, inc = self._limits, self._bounded, self._inc
+        if not cols.size:
+            return  # every column is pinned: the basis is final
+        c_cols = c[cols]
+        # direction each column may move in: +1 at lower, -1 at upper, 0 basic
+        st = status[cols]
+        sgn = (st == self._LOWER).astype(float) - (st == self._UPPER)
+        cb, bl, bu = c[basis], lo[basis], up[basis]
         iters = 0
         while True:
             iters += 1
             if iters > self.cap:
                 raise LPIterationError(
                     f"simplex exceeded {self.cap} pivots")
-            d = c - c[self.basis] @ self.T
-            movable = self.up - self.lo > 0.0
-            elig = movable & (
-                ((self.status == self._LOWER) & (d < -TOL_LP))
-                | ((self.status == self._UPPER) & (d > TOL_LP)))
-            js = np.nonzero(elig)[0]
-            if js.size == 0:
+            # reduced costs, signed so that eligible columns read below -TOL
+            np.dot(cb, T, out=d)
+            np.subtract(c_cols, d, out=d)
+            np.multiply(sgn, d, out=d)
+            np.less(d, -TOL_LP, out=elig)
+            k = int(elig.argmax())  # Bland: lowest index enters
+            if not elig[k]:
                 return
-            j = int(js[0])  # Bland: lowest index enters
-            delta = 1.0 if self.status[j] == self._LOWER else -1.0
-            rate = -delta * self.T[:, j]
+            j = int(cols[k])
+            delta = sgn[k]
+            colv[:] = T[:, k]
+            np.multiply(colv, -delta, out=rate)
 
-            bl = self.lo[self.basis]
-            bu = self.up[self.basis]
-            limits = np.full(self.m, np.inf)
-            dec = rate < -_PIVOT_EPS
-            inc = rate > _PIVOT_EPS
-            limits[dec] = np.maximum(0.0, (self.beta[dec] - bl[dec]) / -rate[dec])
-            limits[inc] = np.maximum(0.0, (bu[inc] - self.beta[inc]) / rate[inc])
-            t_rows = limits.min() if self.m else np.inf
-            t_self = self.up[j] - self.lo[j]
+            # ratio test: each row's room to the bound its basic variable
+            # moves toward, over |rate|; rows with |rate| <= _PIVOT_EPS never
+            # bound the step
+            np.abs(rate, out=arate)
+            np.greater(arate, _PIVOT_EPS, out=bounded)
+            np.greater(rate, _PIVOT_EPS, out=inc)
+            np.subtract(beta, bl, out=num)
+            np.subtract(bu, beta, out=num, where=inc)
+            limits.fill(np.inf)
+            np.divide(num, arate, out=limits, where=bounded)
+            np.maximum(0.0, limits, out=limits)
+            t_rows = limits[limits.argmin()] if self.m else np.inf
+            t_self = up[j] - lo[j]
             if t_self <= t_rows + _RATIO_TIE:
                 if not np.isfinite(t_self):
                     raise LPUnboundedError("objective unbounded on column "
                                            f"{j}")
                 # bound flip, no basis change
-                self.beta = self.beta + rate * t_self
-                self.status[j] = self._UPPER if delta > 0 else self._LOWER
+                beta += rate * t_self
+                status[j] = self._UPPER if delta > 0 else self._LOWER
+                sgn[k] = -delta
                 continue
             if not np.isfinite(t_rows):
                 raise LPUnboundedError(f"objective unbounded on column {j}")
-            tied = np.nonzero(limits <= t_rows + _RATIO_TIE)[0]
-            r = int(tied[np.argmin(self.basis[tied])])  # Bland: lowest leaves
+            tied = (limits <= t_rows + _RATIO_TIE).nonzero()[0]
+            r = int(tied[basis[tied].argmin()])  # Bland: lowest leaves
             t = limits[r]
 
-            leave = self.basis[r]
-            self.status[leave] = self._LOWER if rate[r] < 0 else self._UPPER
-            enter_val = (self.lo[j] if delta > 0 else self.up[j]) + delta * t
-            self.beta = self.beta + rate * t
-            self.beta[r] = enter_val
-            self.status[j] = self._BASIC
-            self.basis[r] = j
+            leave = basis[r]
+            status[leave] = self._LOWER if rate[r] < 0 else self._UPPER
+            if pos[leave] >= 0:
+                sgn[pos[leave]] = 1.0 if rate[r] < 0 else -1.0
+            enter_val = (lo[j] if delta > 0 else up[j]) + delta * t
+            beta += rate * t
+            beta[r] = enter_val
+            status[j] = self._BASIC
+            sgn[k] = 0.0
+            basis[r] = j
+            cb[r], bl[r], bu[r] = c[j], lo[j], up[j]
 
-            piv = self.T[r, j]
+            piv = T[r, k]
             if abs(piv) < _PIVOT_EPS:
                 raise LPError("numerically singular pivot")
-            trow = self.T[r] / piv
-            colv = self.T[:, j].copy()
-            colv[r] = 0.0
-            self.T -= np.outer(colv, trow)
-            self.T[r] = trow
+            np.divide(T[r], piv, out=trow)
+            colv[r] = 0.0  # rank-1 update eliminates column k elsewhere
+            np.dot(colv[:, None], trow[None, :], out=self._outer)
+            T -= self._outer
+            T[r] = trow
 
     # -- phases -------------------------------------------------------------
 
@@ -377,6 +429,8 @@ class BoundedSimplex:
         self.up[self.art0:] = 0.0
         art_rows = np.nonzero(self.basis >= self.art0)[0]
         self.beta[art_rows] = 0.0
+        structural = self.cols < self.art0
+        self._set_columns(self.cols[structural], self.T[:, structural])
         self._feasible = True
         return True
 

@@ -1,10 +1,12 @@
 """Byte-identical regression test for search trees and a training loss trace.
 
-The files under ``tests/golden/`` hold the event logs of a fixed suite for
-the four static strategies and an untrained agent, each with LP tightening
-on and off, and the loss trace of one short training run. A refactor that
-keeps behaviour keeps these bytes. A change that alters trees on purpose
-regenerates them with
+The files under ``tests/golden/`` hold the event logs of two fixed suites
+for the four static strategies and an untrained agent, each with LP
+tightening on and off, and the loss trace of one short training run. The
+first suite's queries are all SAT; the second (``unsat-*.log``) holds only
+UNSAT queries, so their trees are explored to the end and every leaf is a
+conflict. A refactor that keeps behaviour keeps these bytes. A change that
+alters trees on purpose regenerates them with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -24,23 +26,30 @@ from relubab.search import Budget, events_to_text, verify
 GOLDEN_DIR = Path(__file__).parent / "golden"
 STRATEGIES = STATIC_STRATEGIES + ("agent",)
 LOSS_TRACE = "train-loss-trace.txt"
+UNSAT_PREFIX = "unsat-"
 
 
 def _suite():
     return gen_random_suite(seed=7, count=6, n_relus=(6, 10))
 
 
+def _unsat_suite():
+    suite = gen_random_suite(seed=8, count=12, n_relus=(6, 10))
+    return [suite[i] for i in (0, 2, 7, 8, 10, 11)]
+
+
 def _log_name(strategy: str, tighten: bool) -> str:
     return f"{strategy}-{'lp' if tighten else 'interval'}.log"
 
 
-GOLDEN_NAMES = tuple(_log_name(s, t) for s in STRATEGIES
+GOLDEN_NAMES = tuple(prefix + _log_name(s, t) for prefix in ("", UNSAT_PREFIX)
+                     for s in STRATEGIES
                      for t in (True, False)) + (LOSS_TRACE,)
 
 
-def _event_log_text(strategy: str, tighten: bool) -> str:
+def _event_log_text(suite, strategy: str, tighten: bool) -> str:
     chunks = []
-    for inst in _suite():
+    for inst in suite:
         policy = strategy
         if strategy == "agent":
             policy = AgentPolicy(QNet.create(np.random.default_rng(0)))
@@ -63,8 +72,11 @@ def _loss_trace_text() -> str:
 def golden_text(name: str) -> str:
     if name == LOSS_TRACE:
         return _loss_trace_text()
+    suite = _suite
+    if name.startswith(UNSAT_PREFIX):
+        suite, name = _unsat_suite, name[len(UNSAT_PREFIX):]
     strategy, mode = name[:-len(".log")].rsplit("-", 1)
-    return _event_log_text(strategy, mode == "lp")
+    return _event_log_text(suite(), strategy, mode == "lp")
 
 
 @pytest.mark.parametrize("name", GOLDEN_NAMES)

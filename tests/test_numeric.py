@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import make_random_net
 from relubab.model import NeuronId, evaluate_batch
-from relubab.numeric import (BoundedSimplex, Conflict, LPIterationError,
-                             LPProblem, Phase, build_relaxation,
-                             propagate_intervals, solve_lp, solve_relaxation,
-                             tighten_bounds_lp, triangle_relaxation)
+from relubab.numeric import (BoundedSimplex, Conflict, LPError,
+                             LPIterationError, LPProblem, Phase,
+                             build_relaxation, propagate_intervals, solve_lp,
+                             solve_relaxation, tighten_bounds_lp,
+                             triangle_relaxation)
 from relubab.query import OutputConstraint
 
 N1 = NeuronId(0, 0)
@@ -265,3 +268,183 @@ class TestSolveRelaxation:
             toy, bounds, {N1: Phase.INACTIVE, N2: Phase.INACTIVE},
             (OutputConstraint(coeffs=np.array([1.0]), bound=-0.5),))
         assert res.status == "infeasible"
+
+
+class TestSimplexKernel:
+    # max x0 + x1 + x2 on [0, 10]^3 with x_i <= 1 as rows: the origin is
+    # feasible (phase 1 pivots nothing) and phase 2 needs three pivots
+    STAIRS = LPProblem(lower=np.zeros(3), upper=np.full(3, 10.0),
+                       a_ub=np.eye(3), b_ub=np.ones(3))
+
+    def test_pivot_cap_raises(self):
+        sx = BoundedSimplex(self.STAIRS)
+        assert sx.find_feasible()
+        sx.cap = 2
+        with pytest.raises(LPIterationError):
+            sx.optimize(np.ones(3), maximize=True)
+        sx = BoundedSimplex(self.STAIRS)
+        assert sx.find_feasible()
+        assert sx.optimize(np.ones(3), maximize=True) == 3.0
+
+    def test_optimize_needs_feasible_basis(self):
+        with pytest.raises(LPError):
+            BoundedSimplex(self.STAIRS).optimize(np.ones(3))
+        infeasible = BoundedSimplex(LPProblem(
+            lower=np.zeros(1), upper=np.ones(1),
+            a_ub=np.array([[-1.0]]), b_ub=np.array([-2.0])))
+        assert not infeasible.find_feasible()
+        with pytest.raises(LPError):
+            infeasible.optimize(np.ones(1))
+
+    def test_dropped_columns_keep_cap(self):
+        # x0 pinned, one equality row (artificial basic), one <= row whose
+        # slack starts basic (artificial locked)
+        problem = LPProblem(lower=np.array([0.5, 0.0, 0.0]),
+                            upper=np.array([0.5, 2.0, 2.0]),
+                            a_eq=np.array([[1.0, 1.0, -1.0]]),
+                            b_eq=np.array([1.0]),
+                            a_ub=np.array([[0.0, 1.0, 1.0]]),
+                            b_ub=np.array([3.0]))
+        sx = BoundedSimplex(problem)
+        assert sx.ncols == 3 + 1 + 2
+        assert sx.cap == 50 * (sx.ncols + sx.m)
+        # pinned x0 and row 1's locked artificial never enter
+        assert sx.cols.tolist() == [1, 2, 3, 4]
+        assert sx.T.shape == (2, 4)
+        assert sx.find_feasible()
+        assert sx.cols.tolist() == [1, 2, 3]
+        assert sx.T.shape == (2, 3)
+        assert sx.cap == 50 * (sx.ncols + sx.m)
+        assert sx.optimize(np.array([0.0, 1.0, 0.0])) == pytest.approx(0.5)
+
+    def test_pinned_column_stays_nonbasic(self):
+        # x0 pinned at 0.7 is the cheapest way to satisfy both rows, but it
+        # cannot move: x1 makes up the rest
+        problem = LPProblem(lower=np.array([0.7, 0.0]),
+                            upper=np.array([0.7, 5.0]),
+                            a_eq=np.array([[1.0, 1.0]]),
+                            b_eq=np.array([1.2]),
+                            a_ub=np.array([[-1.0, -2.0]]),
+                            b_ub=np.array([-1.0]))
+        sx = BoundedSimplex(problem)
+        assert sx.find_feasible()
+        for maximize in (False, True):
+            sx.optimize(np.array([-1.0, 0.0]), maximize=maximize)
+            assert 0 not in sx.basis
+            x = sx.solution()
+            assert x[0] == 0.7
+            assert x[1] == pytest.approx(0.5, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# differential tests against SciPy's HiGHS
+
+def _highs(problem: LPProblem, objective: np.ndarray):
+    """(feasible, minimum of ``objective``) as HiGHS finds them."""
+    optimize = pytest.importorskip("scipy.optimize")
+    res = optimize.linprog(objective, A_ub=problem.a_ub, b_ub=problem.b_ub,
+                           A_eq=problem.a_eq, b_eq=problem.b_eq,
+                           bounds=list(zip(problem.lower, problem.upper)),
+                           method="highs")
+    assert res.status in (0, 2), res.message
+    return res.status == 0, res.fun
+
+
+def _rows(draw, n: int, count: int, small):
+    coeffs = draw(st.lists(st.lists(small, min_size=n, max_size=n),
+                           min_size=count, max_size=count))
+    rhs = draw(st.lists(st.integers(-4, 4), min_size=count, max_size=count))
+    return coeffs, rhs
+
+
+@st.composite
+def small_lps(draw):
+    """Small integer LPs: degenerate vertices, ties and infeasible systems
+    are common at these magnitudes. Some columns are pinned (lo == up) and
+    some rows repeat (redundant equalities, duplicate <= rows)."""
+    n = draw(st.integers(1, 5))
+    small = st.integers(-3, 3)
+    lower = np.array(draw(st.lists(st.integers(-3, 1), min_size=n,
+                                   max_size=n)), dtype=float)
+    width = np.array(draw(st.lists(st.integers(0, 4), min_size=n,
+                                   max_size=n)), dtype=float)
+    upper = lower + width  # width 0 pins the column
+    eq, eq_rhs = _rows(draw, n, draw(st.integers(0, 3)), small)
+    ub, ub_rhs = _rows(draw, n, draw(st.integers(0, 4)), small)
+    if eq and draw(st.booleans()):
+        eq.append([2 * v for v in eq[0]])
+        eq_rhs.append(2 * eq_rhs[0])
+    if ub and draw(st.booleans()):
+        ub.append(list(ub[-1]))
+        ub_rhs.append(ub_rhs[-1])
+    objective = np.array(draw(st.lists(small, min_size=n, max_size=n)),
+                         dtype=float)
+    return LPProblem(
+        lower=lower, upper=upper,
+        a_eq=np.array(eq, dtype=float) if eq else None,
+        b_eq=np.array(eq_rhs, dtype=float) if eq else None,
+        a_ub=np.array(ub, dtype=float) if ub else None,
+        b_ub=np.array(ub_rhs, dtype=float) if ub else None,
+        objective=objective)
+
+
+@st.composite
+def relaxation_lps(draw):
+    """build_relaxation LPs of random networks under random phases, with a
+    random output row that sometimes empties the relaxation."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    net = make_random_net(rng)
+    drawn = {nid: draw(st.sampled_from(list(Phase)))
+             for nid in net.relu_ids()}
+    phases = {nid: ph for nid, ph in drawn.items() if ph is not Phase.UNFIXED}
+    try:
+        bounds = propagate_intervals(net, net.input_lower, net.input_upper,
+                                     phases)
+    except Conflict:
+        bounds = propagate_intervals(net, net.input_lower, net.input_upper,
+                                     {})
+        phases = {}
+    threshold = draw(st.floats(-2.0, 2.0))
+    problem, vmap = build_relaxation(
+        net, bounds, phases,
+        (OutputConstraint(coeffs=np.array([1.0]), bound=threshold),))
+    return net, problem, vmap
+
+
+class TestSimplexAgainstHighs:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(small_lps())
+    def test_small_lps(self, problem):
+        feasible, best = _highs(problem, problem.objective)
+        res = solve_lp(problem)
+        assert res.feasible == feasible
+        if feasible:
+            assert res.objective == pytest.approx(best, abs=1e-6)
+            x = res.x
+            assert (x >= problem.lower - 1e-9).all()
+            assert (x <= problem.upper + 1e-9).all()
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(relaxation_lps())
+    def test_min_max_sequence_on_one_basis(self, case):
+        # the optimize sequence of tighten_bounds_lp: min then max of every
+        # input and every pre-activation, all from the same basis
+        net, problem, vmap = case
+        feasible, _ = _highs(problem, np.zeros(vmap.n_vars))
+        sx = BoundedSimplex(problem)
+        assert sx.find_feasible() == feasible
+        if not feasible:
+            return
+        cols = list(range(net.input_dim))
+        for sl in vmap.pre.values():
+            cols.extend(range(sl.start, sl.stop))
+        for col in cols:
+            c = np.zeros(vmap.n_vars)
+            c[col] = 1.0
+            _, lo = _highs(problem, c)
+            _, neg_hi = _highs(problem, -c)
+            assert sx.optimize(c) == pytest.approx(lo, abs=1e-6)
+            assert sx.optimize(c, maximize=True) == pytest.approx(
+                -neg_hi, abs=1e-6)

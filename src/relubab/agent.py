@@ -66,20 +66,20 @@ class StateFeatures:
         return len(self.candidates)
 
 
-def _minmax(v: float, lo: float, hi: float) -> float:
-    return (v - lo) / (hi - lo) if hi > lo else 0.5
+def _minmax(v: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    return (v - lo) / (hi - lo) if hi > lo else np.full_like(v, 0.5)
 
 
 def _root_scales(root_bounds) -> tuple[float, float, float, float]:
     """Network-wide (pre_min, pre_max, post_min, post_max) at the root."""
-    pre_lo = min(float(v.min()) for v in root_bounds.pre_lower.values())
-    pre_hi = max(float(v.max()) for v in root_bounds.pre_upper.values())
-    post_lo = min(float(v.min()) for v in root_bounds.post_lower.values())
-    post_hi = max(float(v.max()) for v in root_bounds.post_upper.values())
-    return pre_lo, pre_hi, post_lo, post_hi
+    return (float(root_bounds.pre_lower.min()),
+            float(root_bounds.pre_upper.max()),
+            float(root_bounds.post_lower.min()),
+            float(root_bounds.post_upper.max()))
 
 
-def featurize(node, scores: HeuristicScores, fctx) -> StateFeatures:
+def featurize(net: Network, node, scores: HeuristicScores,
+              fctx) -> StateFeatures:
     """Deterministic candidate features for one node.
 
     Candidates cover exactly the unfixed neurons x {Active, Inactive},
@@ -88,7 +88,7 @@ def featurize(node, scores: HeuristicScores, fctx) -> StateFeatures:
     (fctx), which keeps cross-neuron width differences visible.
     """
     unfixed = scores.unfixed
-    if not unfixed:
+    if not len(unfixed):
         raise ValueError("node has no unfixed neuron to featurize")
     total = max(1, fctx.total_relus)
     globals_row = (
@@ -97,30 +97,30 @@ def featurize(node, scores: HeuristicScores, fctx) -> StateFeatures:
         node.splits_so_far / max(1, fctx.running_max_splits),
     )
     rlo, rhi, rplo, rphi = _root_scales(fctx.root_bounds)
-    candidates = []
-    rows = []
-    for nid in unfixed:
-        lo, hi = node.bounds.pre(nid)
-        plo, phi = node.bounds.post(nid)
-        status = node.phases.get(nid, Phase.UNFIXED)
-        local = (
-            _minmax(lo, rlo, rhi), _minmax(hi, rlo, rhi),
-            _minmax(plo, rplo, rphi), _minmax(phi, rplo, rphi),
-            1.0 if status is Phase.ACTIVE else 0.0,
-            1.0 if status is Phase.INACTIVE else 0.0,
-            1.0 if status is Phase.UNFIXED else 0.0,
-            scores.soi.get(nid, 0.0),
-            scores.polarity.get(nid, 0.0),
-            scores.babsr.get(nid, 0.0),
-        )
-        for phase in _PHASE_ORDER:
-            candidates.append((nid, phase))
-            rows.append(local + globals_row
-                        + (1.0 if phase is Phase.ACTIVE else 0.0,))
-    matrix = np.array(rows, dtype=float)
-    if not np.all(np.isfinite(matrix)):
+    bounds = node.bounds
+    status = node.phases[unfixed]
+    local = np.array((
+        _minmax(bounds.pre_lower[unfixed], rlo, rhi),
+        _minmax(bounds.pre_upper[unfixed], rlo, rhi),
+        _minmax(bounds.post_lower[unfixed], rplo, rphi),
+        _minmax(bounds.post_upper[unfixed], rplo, rphi),
+        status == Phase.ACTIVE.value, status == Phase.INACTIVE.value,
+        status == Phase.UNFIXED.value,
+        scores.soi[unfixed], scores.polarity[unfixed],
+        scores.babsr[unfixed],
+    ), dtype=float).T
+    width = local.shape[1]
+    matrix = np.empty((len(_PHASE_ORDER) * len(unfixed), INPUT_WIDTH))
+    matrix[:, width:-1] = globals_row
+    for j, phase in enumerate(_PHASE_ORDER):
+        rows = matrix[j::len(_PHASE_ORDER)]
+        rows[:, :width] = local
+        rows[:, -1] = 1.0 if phase is Phase.ACTIVE else 0.0
+    if not np.isfinite(matrix).all():
         raise ValueError("non-finite feature encountered")
-    return StateFeatures(candidates=tuple(candidates), matrix=matrix)
+    ids = net.relu_ids()
+    candidates = tuple((ids[u], ph) for u in unfixed for ph in _PHASE_ORDER)
+    return StateFeatures(candidates=candidates, matrix=matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +548,7 @@ class AgentPolicy:
         self.rng = rng
 
     def choose(self, net, node, scores, fctx, rng) -> SplitAction:
-        state = featurize(node, scores, fctx)
+        state = featurize(net, node, scores, fctx)
         gen = self.rng if self.rng is not None else rng
         idx = act(self.qnet, state, self.epsilon, gen)
         neuron, phase = state.candidates[idx]
@@ -562,7 +562,7 @@ class TrajectoryCollector:
         self.steps: list[tuple[StateFeatures, int]] = []
 
     def on_split(self, net, node, scores, action, fctx):
-        state = featurize(node, scores, fctx)
+        state = featurize(net, node, scores, fctx)
         self.steps.append((state, state.index_of(action.neuron, action.phase)))
 
 

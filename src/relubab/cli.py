@@ -70,6 +70,7 @@ def cmd_verify(args) -> int:
     except ValueError as err:  # agent without a usable --checkpoint
         raise SystemExit(f"--strategy {args.strategy}: {err}") from None
     any_sat = False
+    logs = []
     for query in queries:
         log = [] if args.log else None
         verdict = verify(net, query, strategy, _budget(args),
@@ -83,7 +84,8 @@ def cmd_verify(args) -> int:
               f"iterations={verdict.iterations} splits={verdict.splits} "
               f"time_ms={verdict.wall_time_ms:.1f}{witness}")
         if args.log:
-            Path(args.log).write_text(events_to_text(log))
+            logs.append(f"# query {query.label}\n" + events_to_text(log))
+            Path(args.log).write_text("".join(logs))
     if len(queries) > 1:
         print(f"group-verdict {'SAT' if any_sat else 'UNSAT/TIMEOUT'}")
     return 0
@@ -199,7 +201,8 @@ def main(argv=None) -> int:
                    default="argmax")
     p.add_argument("--strategy", choices=STRATEGY_CHOICES, default="babsr")
     p.add_argument("--checkpoint")
-    p.add_argument("--log", help="write the event log here")
+    p.add_argument("--log", help="write the event log here, each query's "
+                   "headed by a '# query <label>' line")
     _add_common(p)
     p.set_defaults(func=cmd_verify)
 

@@ -19,7 +19,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import Network, NeuronId, emit_nnet, evaluate_batch, load_nnet
+from .model import Layer, Network, NeuronId, emit_nnet, evaluate_batch, \
+    load_nnet
 from .numeric import LPProblem, solve_lp
 from .query import OutputConstraint, Query, Verdict, parse_property
 from .search import Budget, verify
@@ -119,7 +120,6 @@ def gen_random_suite(seed: int, count: int, out_dir: str | Path | None = None,
             widths = [first, relus - first]
         else:
             widths = [relus]
-        from .model import Layer, Network as Net
         layers = []
         prev = n_in
         for w in widths:
@@ -130,8 +130,8 @@ def gen_random_suite(seed: int, count: int, out_dir: str | Path | None = None,
         layers.append(Layer(weight=rng.uniform(-1.0, 1.0, size=(1, prev)),
                             bias=rng.uniform(-0.3, 0.3, size=1),
                             has_relu=False))
-        net = Net(layers=tuple(layers),
-                  input_lower=-np.ones(n_in), input_upper=np.ones(n_in))
+        net = Network(layers=tuple(layers), input_lower=-np.ones(n_in),
+                      input_upper=np.ones(n_in))
         xs = rng.uniform(-1.0, 1.0, size=(sample_points, n_in))
         ys = evaluate_batch(net, xs)[:, 0]
         lo, hi = float(ys.min()), float(ys.max())

@@ -2,7 +2,9 @@
 
 Scores are recomputed from the node's current bounds and relaxation solution
 at every decision, so a strategy's preference can change as the search
-deepens. All ties break toward the smallest NeuronId for reproducibility.
+deepens. Scores are float arrays over the network's ReLUs in relu_ids()
+order. All ties break toward the smallest NeuronId for reproducibility:
+np.argmax/np.argmin over the ascending unfixed positions take the first.
 
 Backward-score recursion
 ------------------------
@@ -59,23 +61,28 @@ def soi_error(n_b, n_a):
     return np.minimum(n_a - n_b, n_a)
 
 
-def relu_soi(solution: np.ndarray, vmap: VarMap) -> dict[int, np.ndarray]:
-    """soi_error of every ReLU neuron at a relaxation solution, per layer."""
+def relu_soi(solution: np.ndarray, vmap: VarMap) -> np.ndarray:
+    """soi_error of every ReLU neuron at a relaxation solution, in
+    relu_ids() order."""
     if solution is None or vmap is None:
         raise ValueError("node has no relaxation solution")
-    return {k: soi_error(solution[vmap.pre[k]], solution[vmap.post[k]])
-            for k in vmap.pre}
+    return soi_error(solution[vmap.pre], solution[vmap.post])
 
 
-def soi_total(solution: np.ndarray, vmap: VarMap) -> float:
-    """Sum of soi_error over all ReLU neurons; 0 means every ReLU is exact."""
-    return sum((float(np.sum(e)) for e in relu_soi(solution, vmap).values()),
+def soi_total(net: Network, solution: np.ndarray, vmap: VarMap) -> float:
+    """Sum of soi_error over all ReLU neurons; 0 means every ReLU is exact.
+
+    Summed within each layer, then over layers: the order fixes the last
+    digits of the logged value."""
+    errors = relu_soi(solution, vmap)
+    return sum((float(np.sum(errors[sl])) for sl in net.relu_slices.values()),
                0.0)
 
 
-def polarity(a: float, b: float) -> float:
-    """(a+b)/(b-a): 0 for a symmetric pre-activation interval, +-1 skewed."""
-    if not (a < 0.0 < b):
+def polarity(a, b):
+    """(a+b)/(b-a): 0 for a symmetric pre-activation interval, +-1 skewed;
+    elementwise on arrays."""
+    if not np.logical_and(a < 0.0, 0.0 < b).all():
         raise ValueError(f"polarity needs a < 0 < b, got [{a}, {b}]")
     return (a + b) / (b - a)
 
@@ -87,90 +94,71 @@ def pseudo_impact_update(pi_old: float, delta: float, beta: float = PI_BETA) -> 
     return beta * pi_old + (1.0 - beta) * delta
 
 
-def babsr_scores(net: Network, bounds, phases: dict[NeuronId, Phase],
-                 output_direction: np.ndarray) -> dict[NeuronId, float]:
-    """One backward pass; returns a score per unfixed neuron (see module
-    docstring for the recursion). Fixed neurons are excluded."""
-    scores: dict[NeuronId, float] = {}
+def babsr_scores(net: Network, bounds, phases: np.ndarray,
+                 output_direction: np.ndarray) -> np.ndarray:
+    """One backward pass; returns the score of every unfixed neuron, 0 at
+    fixed ones (see module docstring for the recursion)."""
+    lo, up = bounds.pre_lower, bounds.pre_upper
+    unfixed = phases == Phase.UNFIXED.value
+    degenerate = unfixed & (up == lo)
+    if degenerate.any():
+        nid = net.relu_ids()[degenerate.argmax()]
+        raise ValueError(f"degenerate pre interval for {nid}; fix it instead")
+    rising = unfixed & (up > 0.0)
+    slope = ((phases == Phase.ACTIVE.value)
+             | (rising & (lo >= 0.0))).astype(float)
+    np.divide(up, up - lo, out=slope, where=rising & (lo < 0.0))
     layers = net.layers
-    c = np.asarray(output_direction, dtype=float)
-    lam = layers[-1].weight.T @ c
+    nu_hat = np.empty(net.num_relus)
+    lam = layers[-1].weight.T @ np.asarray(output_direction, dtype=float)
     for k in range(len(layers) - 2, -1, -1):
-        layer = layers[k]
-        v = np.zeros(layer.out_dim)
-        for i in range(layer.out_dim):
-            nid = NeuronId(k, i)
-            ph = phases.get(nid, Phase.UNFIXED)
-            nu_hat = float(lam[i])
-            if ph is Phase.ACTIVE:
-                slope = 1.0
-            elif ph is Phase.INACTIVE:
-                slope = 0.0
-            else:
-                lo, up = bounds.pre(nid)
-                if up == lo:
-                    raise ValueError(
-                        f"degenerate pre interval for {nid}; fix it instead")
-                if up <= 0.0:
-                    slope = 0.0
-                elif lo >= 0.0:
-                    slope = 1.0
-                else:
-                    slope = up / (up - lo)
-                bias = float(layer.bias[i])
-                vi = slope * nu_hat
-                scores[nid] = max(vi * bias, (vi - 1.0) * bias) \
-                    - slope * max(nu_hat, 0.0)
-            v[i] = slope * nu_hat
+        sl = net.relu_slices[k]
+        nu_hat[sl] = lam
         if k > 0:
-            lam = layer.weight.T @ v
-    return scores
+            lam = layers[k].weight.T @ (slope[sl] * lam)
+    bias = np.concatenate([layers[k].bias for k in net.relu_slices])
+    v = slope * nu_hat
+    at_v, at_v1 = v * bias, (v - 1.0) * bias
+    # max(a, b) as np.where(b > a, b, a): a tie keeps a, as max() does
+    scores = np.where(at_v1 > at_v, at_v1, at_v) \
+        - slope * np.where(0.0 > nu_hat, 0.0, nu_hat)
+    return np.where(unfixed, scores, 0.0)
 
 
 @dataclass
 class HeuristicScores:
-    """Per-node score bundle shared by selection and featurization."""
+    """Per-node score bundle shared by selection and featurization.
 
-    unfixed: list[NeuronId]
-    soi: dict[NeuronId, float]
-    polarity: dict[NeuronId, float]
-    babsr: dict[NeuronId, float]
-    pi: dict[NeuronId, float]
+    ``unfixed`` holds the positions of the unfixed neurons in ascending
+    order; the score arrays, like the run's Pseudo-Impact table ``pi``,
+    cover every ReLU in relu_ids() order.
+    """
+
+    unfixed: np.ndarray
+    soi: np.ndarray
+    polarity: np.ndarray
+    babsr: np.ndarray
+    pi: np.ndarray
 
 
 def compute_scores(net: Network, node, output_direction: np.ndarray,
-                   pi: dict[NeuronId, float]) -> HeuristicScores:
-    """Scores of an open node; ``pi`` is the run's Pseudo-Impact table."""
+                   pi: np.ndarray) -> HeuristicScores:
+    """Scores of an open node; ``pi`` is the run's Pseudo-Impact table.
+
+    Deduction leaves every unfixed neuron of an open node with a < 0 < b,
+    so polarity is defined on all of them."""
     unfixed = node.unfixed()
-    soi = {NeuronId(k, i): float(e)
-           for k, errs in relu_soi(node.solution, node.vmap).items()
-           for i, e in enumerate(errs)}
-    pol: dict[NeuronId, float] = {}
-    for nid in unfixed:
-        lo, up = node.bounds.pre(nid)
-        if up <= 0.0:
-            pol[nid] = -1.0
-        elif lo >= 0.0:
-            pol[nid] = 1.0
-        else:
-            pol[nid] = polarity(lo, up)
+    pol = np.zeros(net.num_relus)
+    pol[unfixed] = polarity(node.bounds.pre_lower[unfixed],
+                            node.bounds.pre_upper[unfixed])
     babsr = babsr_scores(net, node.bounds, node.phases, output_direction)
-    return HeuristicScores(unfixed=unfixed, soi=soi, polarity=pol,
-                           babsr=babsr, pi=pi)
+    return HeuristicScores(unfixed=unfixed,
+                           soi=relu_soi(node.solution, node.vmap),
+                           polarity=pol, babsr=babsr, pi=pi)
 
 
-def _argbest(ids: list[NeuronId], key, bigger_is_better: bool) -> NeuronId:
-    best = ids[0]
-    best_v = key(best)
-    for nid in ids[1:]:
-        v = key(nid)
-        if (v > best_v) if bigger_is_better else (v < best_v):
-            best, best_v = nid, v
-    return best
-
-
-def select_split(node, strategy, rng, scores: HeuristicScores,
-                 net: Network | None = None, fctx=None):
+def select_split(node, strategy, rng, scores: HeuristicScores, net: Network,
+                 fctx=None):
     """Pick the next SplitAction for a node.
 
     Nodes at depth <= INITIAL_SPLIT_DEPTH use the Pseudo-Impact ranking no
@@ -179,23 +167,22 @@ def select_split(node, strategy, rng, scores: HeuristicScores,
     convention; a policy object with a ``choose`` method (the learned agent)
     picks both neuron and phase.
     """
-    ids = scores.unfixed
-    if not ids:
+    u = scores.unfixed
+    if not len(u):
         raise ValueError("no unfixed neuron to split on")
 
     if node.depth <= INITIAL_SPLIT_DEPTH:
-        nid = _argbest(ids, lambda n: scores.pi.get(n, 0.0), True)
-        return SplitAction(nid, Phase.INACTIVE)
-    if hasattr(strategy, "choose"):
+        best = np.argmax(scores.pi[u])
+    elif hasattr(strategy, "choose"):
         return strategy.choose(net, node, scores, fctx, rng)
-    if strategy == "soi":
-        nid = _argbest(ids, lambda n: scores.soi.get(n, 0.0), True)
+    elif strategy == "soi":
+        best = np.argmax(scores.soi[u])
     elif strategy == "polarity":
-        nid = _argbest(ids, lambda n: abs(scores.polarity[n]), False)
+        best = np.argmin(np.abs(scores.polarity[u]))
     elif strategy == "pseudo-impact":
-        nid = _argbest(ids, lambda n: scores.pi.get(n, 0.0), True)
+        best = np.argmax(scores.pi[u])
     elif strategy == "babsr":
-        nid = _argbest(ids, lambda n: scores.babsr[n], True)
+        best = np.argmax(scores.babsr[u])
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
-    return SplitAction(nid, Phase.INACTIVE)
+    return SplitAction(net.relu_ids()[u[best]], Phase.INACTIVE)

@@ -8,6 +8,7 @@ concurrent verification workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -101,15 +102,36 @@ class Network:
     def output_dim(self) -> int:
         return self.layers[-1].out_dim
 
-    def relu_ids(self) -> list[NeuronId]:
-        """All ReLU neuron ids, in (layer, index) order."""
-        ids = []
+    @cached_property
+    def relu_slices(self) -> dict[int, slice]:
+        """Each ReLU layer's slice of a per-neuron vector, by affine-layer
+        index. Per-neuron vectors (phases, bounds, scores) run in
+        relu_ids() order."""
+        slices, pos = {}, 0
         for k, layer in enumerate(self.layers):
             if layer.has_relu:
-                ids.extend(NeuronId(k, i) for i in range(layer.out_dim))
-        return ids
+                slices[k] = slice(pos, pos + layer.out_dim)
+                pos += layer.out_dim
+        return slices
 
-    @property
+    @cached_property
+    def _relu_ids(self) -> tuple[NeuronId, ...]:
+        return tuple(NeuronId(k, i) for k, sl in self.relu_slices.items()
+                     for i in range(sl.stop - sl.start))
+
+    def relu_ids(self) -> list[NeuronId]:
+        """All ReLU neuron ids, in (layer, index) order."""
+        return list(self._relu_ids)
+
+    def relu_index(self, nid: NeuronId) -> int:
+        """Position of ``nid`` in relu_ids(); ValueError if the network has
+        no such ReLU."""
+        sl = self.relu_slices.get(nid.layer)
+        if sl is None or not 0 <= nid.index < sl.stop - sl.start:
+            raise ValueError(f"{nid} is not a ReLU of this network")
+        return sl.start + nid.index
+
+    @cached_property
     def num_relus(self) -> int:
         return sum(l.out_dim for l in self.layers if l.has_relu)
 

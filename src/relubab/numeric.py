@@ -12,19 +12,25 @@ Three layers of machinery live here:
 * construction of a node's triangle LP relaxation and LP-based bound
   tightening on top of it.
 
+A node's phases are one int8 vector in ``Network.relu_ids()`` order,
+holding ``Phase`` codes; its pre- and post-activation bounds are flat
+arrays in the same order. Per-neuron work is array operations over the
+whole vector, or over one ReLU layer's slice (``Network.relu_slices``)
+where a layer needs the one before it.
+
 Conflict (an empty node) is a first-class signal distinct from solver
 errors: branch-and-bound prunes on it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
+from dataclasses import dataclass, fields
+from enum import IntEnum
 from typing import Sequence
 
 import numpy as np
 
-from .model import Network, NeuronId
+from .model import Network
 
 TOL_LP = 1e-7
 _CONFLICT_EPS = 1e-9
@@ -34,14 +40,20 @@ _PIVOT_EPS = 1e-9
 _RATIO_TIE = 1e-10
 
 
-class Phase(Enum):
-    ACTIVE = "active"
-    INACTIVE = "inactive"
-    UNFIXED = "unfixed"
+class Phase(IntEnum):
+    """A ReLU's phase; the values are the codes of a phase vector.
+
+    Array code compares a vector with ``Phase.X.value``: numpy compares
+    with a plain int several times faster than with an IntEnum member.
+    """
+
+    ACTIVE = 1
+    INACTIVE = -1
+    UNFIXED = 0
 
     @property
     def short(self) -> str:
-        return {"active": "A", "inactive": "I", "unfixed": "U"}[self.value]
+        return self.name[0]
 
 
 class Conflict(Exception):
@@ -66,54 +78,30 @@ class LPUnboundedError(LPError):
 
 @dataclass
 class BoundsMap:
-    """Pre/post-activation bounds for every neuron plus the input/output box.
+    """The input box, every ReLU's pre- and post-activation interval and
+    the output box of a node.
 
-    Dict keys are affine-layer indices of ReLU layers; values are arrays over
-    that layer's neurons.
+    The ReLU bounds are flat arrays in relu_ids() order; a layer's part is
+    its ``Network.relu_slices`` slice.
     """
 
     input_lower: np.ndarray
     input_upper: np.ndarray
-    pre_lower: dict[int, np.ndarray]
-    pre_upper: dict[int, np.ndarray]
-    post_lower: dict[int, np.ndarray]
-    post_upper: dict[int, np.ndarray]
+    pre_lower: np.ndarray
+    pre_upper: np.ndarray
+    post_lower: np.ndarray
+    post_upper: np.ndarray
     output_lower: np.ndarray
     output_upper: np.ndarray
 
-    def pre(self, nid: NeuronId) -> tuple[float, float]:
-        return (float(self.pre_lower[nid.layer][nid.index]),
-                float(self.pre_upper[nid.layer][nid.index]))
-
-    def post(self, nid: NeuronId) -> tuple[float, float]:
-        return (float(self.post_lower[nid.layer][nid.index]),
-                float(self.post_upper[nid.layer][nid.index]))
-
     def copy(self) -> "BoundsMap":
-        return BoundsMap(
-            input_lower=self.input_lower.copy(),
-            input_upper=self.input_upper.copy(),
-            pre_lower={k: v.copy() for k, v in self.pre_lower.items()},
-            pre_upper={k: v.copy() for k, v in self.pre_upper.items()},
-            post_lower={k: v.copy() for k, v in self.post_lower.items()},
-            post_upper={k: v.copy() for k, v in self.post_upper.items()},
-            output_lower=self.output_lower.copy(),
-            output_upper=self.output_upper.copy(),
-        )
-
-
-def _layer_phases(phases: dict[NeuronId, Phase], layer: int, width: int) -> list[Phase]:
-    out = [Phase.UNFIXED] * width
-    for nid, ph in phases.items():
-        if nid.layer == layer:
-            out[nid.index] = ph
-    return out
+        return BoundsMap(*(getattr(self, f.name).copy() for f in fields(self)))
 
 
 def propagate_intervals(net: Network,
                         input_lower: np.ndarray,
                         input_upper: np.ndarray,
-                        phases: dict[NeuronId, Phase],
+                        phases: np.ndarray,
                         clip: BoundsMap | None = None) -> BoundsMap:
     """Forward interval arithmetic with phase clipping.
 
@@ -126,16 +114,17 @@ def propagate_intervals(net: Network,
     if clip is not None:
         lo = np.maximum(lo, clip.input_lower)
         hi = np.minimum(hi, clip.input_upper)
-    if np.any(lo > hi + _CONFLICT_EPS):
+    if (lo > hi + _CONFLICT_EPS).any():
         raise Conflict("empty input box")
+    n = net.num_relus
     bounds = BoundsMap(input_lower=lo, input_upper=hi,
-                       pre_lower={}, pre_upper={},
-                       post_lower={}, post_upper={},
+                       pre_lower=np.empty(n), pre_upper=np.empty(n),
+                       post_lower=np.empty(n), post_upper=np.empty(n),
                        output_lower=np.empty(0), output_upper=np.empty(0))
     cur_lo, cur_hi = lo, hi
     for k, layer in enumerate(net.layers):
-        wp = np.clip(layer.weight, 0.0, None)
-        wm = np.clip(layer.weight, None, 0.0)
+        wp = np.maximum(layer.weight, 0.0)
+        wm = np.minimum(layer.weight, 0.0)
         pre_lo = wp @ cur_lo + wm @ cur_hi + layer.bias
         pre_hi = wp @ cur_hi + wm @ cur_lo + layer.bias
         if not layer.has_relu:
@@ -143,37 +132,32 @@ def propagate_intervals(net: Network,
             bounds.output_upper = pre_hi
             cur_lo, cur_hi = pre_lo, pre_hi
             continue
-        if clip is not None and k in clip.pre_lower:
-            pre_lo = np.maximum(pre_lo, clip.pre_lower[k])
-            pre_hi = np.minimum(pre_hi, clip.pre_upper[k])
-        post_lo = np.empty_like(pre_lo)
-        post_hi = np.empty_like(pre_hi)
-        for i, ph in enumerate(_layer_phases(phases, k, layer.out_dim)):
-            if ph is Phase.INACTIVE:
-                if pre_lo[i] > _CONFLICT_EPS:
-                    raise Conflict(f"neuron {k}:{i} inactive but pre >= "
-                                   f"{pre_lo[i]:g}")
-                pre_hi[i] = min(pre_hi[i], 0.0)
-                pre_lo[i] = min(pre_lo[i], pre_hi[i])
-                post_lo[i] = post_hi[i] = 0.0
-            elif ph is Phase.ACTIVE:
-                if pre_hi[i] < -_CONFLICT_EPS:
-                    raise Conflict(f"neuron {k}:{i} active but pre <= "
-                                   f"{pre_hi[i]:g}")
-                pre_lo[i] = max(pre_lo[i], 0.0)
-                pre_hi[i] = max(pre_hi[i], pre_lo[i])
-                post_lo[i] = pre_lo[i]
-                post_hi[i] = pre_hi[i]
-            else:
-                if pre_lo[i] > pre_hi[i] + _CONFLICT_EPS:
-                    raise Conflict(f"neuron {k}:{i} has empty pre interval")
-                post_lo[i] = max(0.0, pre_lo[i])
-                post_hi[i] = max(0.0, pre_hi[i])
-        bounds.pre_lower[k] = pre_lo
-        bounds.pre_upper[k] = pre_hi
-        bounds.post_lower[k] = post_lo
-        bounds.post_upper[k] = post_hi
-        cur_lo, cur_hi = post_lo, post_hi
+        sl = net.relu_slices[k]
+        if clip is not None:
+            pre_lo = np.maximum(pre_lo, clip.pre_lower[sl])
+            pre_hi = np.minimum(pre_hi, clip.pre_upper[sl])
+        ph = phases[sl]
+        active = ph == Phase.ACTIVE.value
+        inactive = ph == Phase.INACTIVE.value
+        bad = np.where(active, pre_hi < -_CONFLICT_EPS,
+                       np.where(inactive, pre_lo > _CONFLICT_EPS,
+                                pre_lo > pre_hi + _CONFLICT_EPS))
+        if bad.any():
+            i = int(bad.argmax())
+            raise Conflict(f"neuron {k}:{i} has pre interval "
+                           f"[{pre_lo[i]:g}, {pre_hi[i]:g}] against its "
+                           f"phase")
+        # clip to the phase; np.where keeps the bound itself on a tie, so
+        # a -0.0 bound stays -0.0
+        pre_hi = np.where(inactive & (pre_hi > 0.0), 0.0, pre_hi)
+        pre_lo = np.where(inactive & (pre_hi < pre_lo), pre_hi, pre_lo)
+        pre_lo = np.where(active & (pre_lo < 0.0), 0.0, pre_lo)
+        pre_hi = np.where(active & (pre_lo > pre_hi), pre_lo, pre_hi)
+        bounds.pre_lower[sl] = pre_lo
+        bounds.pre_upper[sl] = pre_hi
+        bounds.post_lower[sl] = np.where(active | (pre_lo > 0.0), pre_lo, 0.0)
+        bounds.post_upper[sl] = np.where(active | (pre_hi > 0.0), pre_hi, 0.0)
+        cur_lo, cur_hi = bounds.post_lower[sl], bounds.post_upper[sl]
     return bounds
 
 
@@ -183,23 +167,25 @@ def propagate_intervals(net: Network,
 
 @dataclass(frozen=True)
 class TriangleRelaxation:
-    """Rows (c_pre, c_post, rhs) meaning c_pre*pre + c_post*post <= rhs."""
+    """Rows (c_pre, c_post, rhs) meaning c_pre*pre + c_post*post <= rhs;
+    each entry is a scalar or an array over neurons."""
 
-    rows: tuple[tuple[float, float, float], ...]
-    slope: float
+    rows: tuple[tuple, ...]
+    slope: float | np.ndarray
 
-    def satisfied(self, pre: float, post: float, tol: float = 1e-12) -> bool:
-        return all(cp * pre + ca * post <= rhs + tol
+    def satisfied(self, pre, post, tol: float = 1e-12) -> bool:
+        return all(np.all(cp * pre + ca * post <= rhs + tol)
                    for cp, ca, rhs in self.rows)
 
 
-def triangle_relaxation(a: float, b: float) -> TriangleRelaxation:
-    """Convex hull of the ReLU graph over pre-activation interval [a, b].
+def triangle_relaxation(a, b) -> TriangleRelaxation:
+    """Convex hull of the ReLU graph over pre-activation interval [a, b];
+    elementwise on arrays.
 
     post >= 0, post >= pre, post <= (b/(b-a)) * (pre - a). Only unfixed
     neurons (a < 0 < b) may be relaxed.
     """
-    if not (a < 0.0 < b):
+    if not np.logical_and(a < 0.0, 0.0 < b).all():
         raise ValueError(f"triangle relaxation needs a < 0 < b, got [{a}, {b}]")
     slope = b / (b - a)
     rows = (
@@ -476,103 +462,87 @@ def solve_lp(problem: LPProblem) -> LPResult:
 
 @dataclass(frozen=True)
 class VarMap:
-    """Column layout of a node relaxation LP."""
+    """Column layout of a node relaxation LP: the inputs, each ReLU layer's
+    pre- then post-activations, then the outputs. ``pre`` and ``post`` hold
+    every ReLU's two columns in relu_ids() order."""
 
     x: slice
-    pre: dict[int, slice]
-    post: dict[int, slice]
+    pre: np.ndarray
+    post: np.ndarray
     y: slice
     n_vars: int
 
-    def pre_of(self, sol: np.ndarray, nid: NeuronId) -> float:
-        return float(sol[self.pre[nid.layer]][nid.index])
 
-    def post_of(self, sol: np.ndarray, nid: NeuronId) -> float:
-        return float(sol[self.post[nid.layer]][nid.index])
-
-
-def build_relaxation(net: Network, bounds: BoundsMap,
-                     phases: dict[NeuronId, Phase],
+def build_relaxation(net: Network, bounds: BoundsMap, phases: np.ndarray,
                      output_constraints: Sequence = ()) -> tuple[LPProblem, VarMap]:
     """Assemble the node's LP: exact affine rows, fixed ReLUs as equalities
-    or pinned zeros, unfixed ReLUs triangle-relaxed, plus the output rows."""
-    lows = [bounds.input_lower]
-    ups = [bounds.input_upper]
-    pre_slices: dict[int, slice] = {}
-    post_slices: dict[int, slice] = {}
-    pos = net.input_dim
+    or pinned zeros, unfixed ReLUs triangle-relaxed, plus the output rows.
+
+    The equality rows run layer by layer: a layer's affine rows, then its
+    ReLU equalities. The triangle rows follow relu_ids() order, then come
+    the output rows. Bland's rule pivots by index, so the order is part of
+    the result.
+    """
+    lo, up = bounds.pre_lower, bounds.pre_upper
+    unfixed = phases == Phase.UNFIXED.value
+    # active (or unfixed but nonnegative): post = pre; inactive (or unfixed
+    # but nonpositive): post pinned to [0, 0] by its box
+    tied = (phases == Phase.ACTIVE.value) | (unfixed & (lo >= 0.0))
+    tri = (unfixed & (lo < 0.0) & (up > 0.0)).nonzero()[0]
+
+    n_vars = net.input_dim + 2 * net.num_relus + net.output_dim
+    n_eq = sum(layer.out_dim for layer in net.layers) + np.count_nonzero(tied)
+    a_eq, b_eq = np.zeros((n_eq, n_vars)), np.zeros(n_eq)
+    pre = np.empty(net.num_relus, dtype=int)
+    post = np.empty(net.num_relus, dtype=int)
+    lows, ups = [bounds.input_lower], [bounds.input_upper]
+    prev, col, row = slice(0, net.input_dim), net.input_dim, 0
     for k, layer in enumerate(net.layers):
-        if layer.has_relu:
-            pre_slices[k] = slice(pos, pos + layer.out_dim)
-            pos += layer.out_dim
-            lows.append(bounds.pre_lower[k])
-            ups.append(bounds.pre_upper[k])
-            post_slices[k] = slice(pos, pos + layer.out_dim)
-            pos += layer.out_dim
-            lows.append(bounds.post_lower[k])
-            ups.append(bounds.post_upper[k])
-        else:
-            y_slice = slice(pos, pos + layer.out_dim)
-            pos += layer.out_dim
+        width = layer.out_dim
+        block = a_eq[row:row + width]
+        np.fill_diagonal(block[:, col:col + width], 1.0)
+        block[:, prev] = -layer.weight
+        b_eq[row:row + width] = layer.bias
+        row += width
+        if not layer.has_relu:
+            y = slice(col, col + width)
             lows.append(bounds.output_lower)
             ups.append(bounds.output_upper)
-    vmap = VarMap(x=slice(0, net.input_dim), pre=pre_slices,
-                  post=post_slices, y=y_slice, n_vars=pos)
-
-    eq_rows: list[np.ndarray] = []
-    eq_rhs: list[float] = []
-    ub_rows: list[np.ndarray] = []
-    ub_rhs: list[float] = []
-
-    prev = vmap.x
-    for k, layer in enumerate(net.layers):
-        out_slice = pre_slices[k] if layer.has_relu else vmap.y
-        block = np.zeros((layer.out_dim, pos))
-        block[:, out_slice] = np.eye(layer.out_dim)
-        block[:, prev] = -layer.weight
-        eq_rows.extend(block)
-        eq_rhs.extend(layer.bias)
-        if not layer.has_relu:
             continue
-        zs, as_ = pre_slices[k], post_slices[k]
-        lphases = _layer_phases(phases, k, layer.out_dim)
-        for i, ph in enumerate(lphases):
-            a, b = bounds.pre_lower[k][i], bounds.pre_upper[k][i]
-            if ph is Phase.ACTIVE or (ph is Phase.UNFIXED and a >= 0.0):
-                row = np.zeros(pos)
-                row[as_.start + i] = 1.0
-                row[zs.start + i] = -1.0
-                eq_rows.append(row)
-                eq_rhs.append(0.0)
-            elif ph is Phase.INACTIVE or (ph is Phase.UNFIXED and b <= 0.0):
-                pass  # post pinned to [0, 0] by its box
-            else:
-                tri = triangle_relaxation(a, b)
-                for c_pre, c_post, rhs in tri.rows[1:]:  # post>=0 is the box
-                    row = np.zeros(pos)
-                    row[zs.start + i] = c_pre
-                    row[as_.start + i] = c_post
-                    ub_rows.append(row)
-                    ub_rhs.append(rhs)
-        prev = as_
-    for con in output_constraints:
-        row = np.zeros(pos)
-        row[vmap.y] = con.coeffs
-        ub_rows.append(row)
-        ub_rhs.append(con.bound)
+        sl = net.relu_slices[k]
+        pre[sl] = np.arange(col, col + width)
+        post[sl] = pre[sl] + width
+        lows += [bounds.pre_lower[sl], bounds.post_lower[sl]]
+        ups += [bounds.pre_upper[sl], bounds.post_upper[sl]]
+        eq = tied[sl].nonzero()[0]
+        a_eq[row + np.arange(eq.size), post[sl][eq]] = 1.0
+        a_eq[row + np.arange(eq.size), pre[sl][eq]] = -1.0
+        row += eq.size
+        prev = slice(col + width, col + 2 * width)
+        col += 2 * width
+    vmap = VarMap(x=slice(0, net.input_dim), pre=pre, post=post, y=y,
+                  n_vars=n_vars)
 
-    problem = LPProblem(
-        lower=np.concatenate(lows), upper=np.concatenate(ups),
-        a_eq=np.array(eq_rows) if eq_rows else None,
-        b_eq=np.array(eq_rhs) if eq_rhs else None,
-        a_ub=np.array(ub_rows) if ub_rows else None,
-        b_ub=np.array(ub_rhs) if ub_rhs else None,
-    )
+    relax = triangle_relaxation(lo[tri], up[tri])
+    n_tri = 2 * tri.size
+    a_ub = np.zeros((n_tri + len(output_constraints), n_vars))
+    b_ub = np.empty(a_ub.shape[0])
+    # two rows per neuron; post >= 0 is the box
+    for j, (c_pre, c_post, c_rhs) in enumerate(relax.rows[1:]):
+        rows = a_ub[j:n_tri:2]
+        rows[np.arange(tri.size), pre[tri]] = c_pre
+        rows[np.arange(tri.size), post[tri]] = c_post
+        b_ub[j:n_tri:2] = c_rhs
+    for i, con in enumerate(output_constraints):
+        a_ub[n_tri + i, y] = con.coeffs
+        b_ub[n_tri + i] = con.bound
+
+    problem = LPProblem(lower=np.concatenate(lows), upper=np.concatenate(ups),
+                        a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub)
     return problem, vmap
 
 
-def solve_relaxation(net: Network, bounds: BoundsMap,
-                     phases: dict[NeuronId, Phase],
+def solve_relaxation(net: Network, bounds: BoundsMap, phases: np.ndarray,
                      output_constraints: Sequence = ()) -> tuple[LPResult, VarMap]:
     """Solve the node relaxation for its most-violating point.
 
@@ -583,56 +553,40 @@ def solve_relaxation(net: Network, bounds: BoundsMap,
     test independent of which vertex the simplex happens to visit.
     """
     problem, vmap = build_relaxation(net, bounds, phases, output_constraints)
-    aux: list[tuple[int, int]] = []  # (pre column, post column) per unfixed
-    for k in vmap.pre:
-        width = vmap.pre[k].stop - vmap.pre[k].start
-        for i in range(width):
-            if phases.get(NeuronId(k, i), Phase.UNFIXED) is Phase.UNFIXED:
-                aux.append((vmap.pre[k].start + i, vmap.post[k].start + i))
-    if not aux:
+    unfixed = (phases == Phase.UNFIXED.value).nonzero()[0]
+    if not unfixed.size:
         result = solve_lp(problem)
         if result.feasible:
             result = LPResult(status="feasible", x=result.x, objective=0.0)
         return result, vmap
 
     n = vmap.n_vars
-    n_aux = len(aux)
-    t_lo = np.empty(n_aux)
-    t_hi = np.empty(n_aux)
-    rows = []
-    rhs = []
-    for j, (zc, ac) in enumerate(aux):
-        a_lo, a_hi = problem.lower[ac], problem.upper[ac]
-        z_lo, z_hi = problem.lower[zc], problem.upper[zc]
-        t_lo[j] = min(a_lo - z_hi, a_lo)
-        t_hi[j] = min(a_hi - z_lo, a_hi)
-        row = np.zeros(n + n_aux)
-        row[n + j] = 1.0
-        row[ac] = -1.0
-        row[zc] = 1.0
-        rows.append(row)          # t <= post - pre
-        rhs.append(0.0)
-        row = np.zeros(n + n_aux)
-        row[n + j] = 1.0
-        row[ac] = -1.0
-        rows.append(row)          # t <= post
-        rhs.append(0.0)
+    n_aux = unfixed.size
+    zc, ac = vmap.pre[unfixed], vmap.post[unfixed]
+    a_lo, a_hi = problem.lower[ac], problem.upper[ac]
+    z_lo, z_hi = problem.lower[zc], problem.upper[zc]
+    # the auxiliary's box is min(post - pre, post) over the pre/post boxes
+    t_lo = np.where(a_lo < a_lo - z_hi, a_lo, a_lo - z_hi)
+    t_hi = np.where(a_hi < a_hi - z_lo, a_hi, a_hi - z_lo)
+    rows = np.zeros((2 * n_aux, n + n_aux))
+    j = np.arange(n_aux)
+    rows[2 * j, n + j] = 1.0          # t <= post - pre
+    rows[2 * j, ac] = -1.0
+    rows[2 * j, zc] = 1.0
+    rows[2 * j + 1, n + j] = 1.0      # t <= post
+    rows[2 * j + 1, ac] = -1.0
     a_ub = np.vstack([
-        np.hstack([problem.a_ub, np.zeros((problem.a_ub.shape[0], n_aux))])
-        if problem.a_ub is not None else np.zeros((0, n + n_aux)),
-        np.array(rows)])
-    b_ub = np.concatenate([
-        problem.b_ub if problem.b_ub is not None else np.zeros(0),
-        np.array(rhs)])
+        np.hstack([problem.a_ub, np.zeros((problem.a_ub.shape[0], n_aux))]),
+        rows])
+    b_ub = np.concatenate([problem.b_ub, np.zeros(2 * n_aux)])
     objective = np.zeros(n + n_aux)
     objective[n:] = 1.0
     widened = LPProblem(
         lower=np.concatenate([problem.lower, t_lo]),
         upper=np.concatenate([problem.upper, t_hi]),
-        a_eq=np.hstack([problem.a_eq, np.zeros((problem.a_eq.shape[0], n_aux))])
-        if problem.a_eq is not None else None,
-        b_eq=problem.b_eq,
-        a_ub=a_ub, b_ub=b_ub,
+        a_eq=np.hstack([problem.a_eq,
+                        np.zeros((problem.a_eq.shape[0], n_aux))]),
+        b_eq=problem.b_eq, a_ub=a_ub, b_ub=b_ub,
         objective=objective, maximize=True)
     result = solve_lp(widened)
     if result.feasible:
@@ -641,8 +595,7 @@ def solve_relaxation(net: Network, bounds: BoundsMap,
     return result, vmap
 
 
-def tighten_bounds_lp(net: Network, bounds: BoundsMap,
-                      phases: dict[NeuronId, Phase],
+def tighten_bounds_lp(net: Network, bounds: BoundsMap, phases: np.ndarray,
                       output_constraints: Sequence = ()) -> BoundsMap:
     """Min/max every input and every unfixed pre-activation over the node's
     LP relaxation, intersecting with the incoming bounds (never widens).
@@ -654,27 +607,23 @@ def tighten_bounds_lp(net: Network, bounds: BoundsMap,
     sx = BoundedSimplex(problem)
     if not sx.find_feasible():
         raise Conflict("node relaxation infeasible")
-    new = bounds.copy()
-
-    def minmax(col: int) -> tuple[float, float]:
-        c = np.zeros(vmap.n_vars)
+    unfixed = (phases == Phase.UNFIXED.value).nonzero()[0]
+    # one basis for every objective, so the order of the columns matters
+    cols = np.concatenate([np.arange(net.input_dim), vmap.pre[unfixed]])
+    lo, hi = np.empty(cols.size), np.empty(cols.size)
+    c = np.zeros(vmap.n_vars)
+    for j, col in enumerate(cols):
         c[col] = 1.0
-        lo = sx.optimize(c) - _BOUND_SAFETY
-        hi = sx.optimize(c, maximize=True) + _BOUND_SAFETY
-        return lo, hi
-
-    for i in range(net.input_dim):
-        lo, hi = minmax(i)
-        new.input_lower[i] = max(new.input_lower[i], lo)
-        new.input_upper[i] = min(new.input_upper[i], hi)
-    for k, layer in enumerate(net.layers):
-        if not layer.has_relu:
-            continue
-        lphases = _layer_phases(phases, k, layer.out_dim)
-        for i, ph in enumerate(lphases):
-            if ph is not Phase.UNFIXED:
-                continue
-            lo, hi = minmax(vmap.pre[k].start + i)
-            new.pre_lower[k][i] = max(new.pre_lower[k][i], lo)
-            new.pre_upper[k][i] = min(new.pre_upper[k][i], hi)
-    return new
+        lo[j] = sx.optimize(c) - _BOUND_SAFETY
+        hi[j] = sx.optimize(c, maximize=True) + _BOUND_SAFETY
+        c[col] = 0.0
+    # intersect; np.where keeps the old bound on a tie, as max()/min() do
+    old_lo = np.concatenate([bounds.input_lower, bounds.pre_lower[unfixed]])
+    old_hi = np.concatenate([bounds.input_upper, bounds.pre_upper[unfixed]])
+    lo = np.where(lo > old_lo, lo, old_lo)
+    hi = np.where(hi < old_hi, hi, old_hi)
+    n_in = net.input_dim
+    out = bounds.copy()
+    out.input_lower, out.input_upper = lo[:n_in], hi[:n_in]
+    out.pre_lower[unfixed], out.pre_upper[unfixed] = lo[n_in:], hi[n_in:]
+    return out

@@ -1,7 +1,8 @@
 """Depth-first branch-and-bound over ReLU phases.
 
 ``expand`` is the one place a node is built: it fixes the split neuron's
-phase in a copy of the parent's phases, runs deduction to a fixpoint
+phase in a copy of the parent's phase vector (int8 ``Phase`` codes in
+``Network.relu_ids()`` order), runs deduction to a fixpoint
 (interval propagation, optional LP tightening, phase deduction), then
 solves the triangle relaxation for the most-violating point. A node
 closes as a conflict when deduction empties it, and as SAT when even that
@@ -69,7 +70,7 @@ class NodeState:
     set by the engine.
     """
 
-    phases: dict[NeuronId, Phase]
+    phases: np.ndarray  # int8 Phase codes in relu_ids() order
     depth: int
     status: str  # "open" | "conflict" | "sat"
     bounds: BoundsMap | None = None
@@ -82,8 +83,9 @@ class NodeState:
     node_id: int = -1
     splits_so_far: int = 0
 
-    def unfixed(self) -> list[NeuronId]:
-        return sorted(n for n, p in self.phases.items() if p is Phase.UNFIXED)
+    def unfixed(self) -> np.ndarray:
+        """Positions of the unfixed neurons, ascending."""
+        return (self.phases == Phase.UNFIXED.value).nonzero()[0]
 
 
 # ---------------------------------------------------------------------------
@@ -178,27 +180,19 @@ def parse_event_log(text: str) -> list:
 # deduction
 
 
-def deduce_phases(bounds: BoundsMap,
-                  phases: dict[NeuronId, Phase] | None = None
-                  ) -> list[tuple[NeuronId, Phase]]:
-    """Unfixed neurons whose pre bounds pin them to one phase.
+def deduce_phases(bounds: BoundsMap, phases: np.ndarray) -> int:
+    """Fix, in place, every unfixed neuron whose pre bounds pin it to one
+    phase; returns how many were fixed.
 
     Applying the fixes and re-deducing reaches a fixpoint because fixes only
     shrink intervals.
     """
-    fixes = []
-    for k in sorted(bounds.pre_lower):
-        lo = bounds.pre_lower[k]
-        hi = bounds.pre_upper[k]
-        for i in range(lo.shape[0]):
-            nid = NeuronId(k, i)
-            if phases is not None and phases.get(nid, Phase.UNFIXED) is not Phase.UNFIXED:
-                continue
-            if hi[i] <= 0.0:
-                fixes.append((nid, Phase.INACTIVE))
-            elif lo[i] >= 0.0:
-                fixes.append((nid, Phase.ACTIVE))
-    return fixes
+    unfixed = phases == Phase.UNFIXED.value
+    inactive = unfixed & (bounds.pre_upper <= 0.0)
+    active = unfixed & ~inactive & (bounds.pre_lower >= 0.0)
+    phases[inactive] = Phase.INACTIVE.value
+    phases[active] = Phase.ACTIVE.value
+    return np.count_nonzero(inactive | active)
 
 
 def _interval_output_conflict(bounds: BoundsMap, constraints) -> None:
@@ -210,7 +204,7 @@ def _interval_output_conflict(bounds: BoundsMap, constraints) -> None:
             raise Conflict(f"output interval violates {con}")
 
 
-def _deduce_bounds(net: Network, query: Query, phases: dict[NeuronId, Phase],
+def _deduce_bounds(net: Network, query: Query, phases: np.ndarray,
                    clip: BoundsMap | None, tighten: bool) -> BoundsMap:
     """Run deduction to a fixpoint, fixing ``phases`` in place.
 
@@ -221,26 +215,20 @@ def _deduce_bounds(net: Network, query: Query, phases: dict[NeuronId, Phase],
         bounds = propagate_intervals(net, query.input_lower, query.input_upper,
                                      phases, clip=carry)
         _interval_output_conflict(bounds, query.constraints)
-        fixes = deduce_phases(bounds, phases)
-        if fixes:
-            phases.update(fixes)
+        if deduce_phases(bounds, phases):
             carry = bounds
             continue
         if not tighten:
             return bounds
         tightened = tighten_bounds_lp(net, bounds, phases, query.constraints)
-        fixes = deduce_phases(tightened, phases)
-        if fixes:
-            phases.update(fixes)
+        if deduce_phases(tightened, phases):
             carry = tightened
             continue
         refreshed = propagate_intervals(net, query.input_lower,
                                         query.input_upper, phases,
                                         clip=tightened)
         _interval_output_conflict(refreshed, query.constraints)
-        fixes = deduce_phases(refreshed, phases)
-        if fixes:
-            phases.update(fixes)
+        if deduce_phases(refreshed, phases):
             carry = refreshed
             continue
         return refreshed
@@ -253,16 +241,18 @@ def expand(net: Network, query: Query, parent: NodeState | None,
 
     A Conflict during deduction yields a closed child (status "conflict")
     rather than an exception; the sibling is the expansion under the
-    complementary action.
+    complementary action. A split on a neuron that is fixed, or that the
+    network does not have, raises ValueError.
     """
     if parent is None:
-        phases = {nid: Phase.UNFIXED for nid in net.relu_ids()}
+        phases = np.full(net.num_relus, Phase.UNFIXED.value, dtype=np.int8)
         depth, clip, parent_id = 0, None, -1
     else:
-        if parent.phases.get(action.neuron) is not Phase.UNFIXED:
+        u = net.relu_index(action.neuron)
+        if parent.phases[u] != Phase.UNFIXED.value:
             raise ValueError(f"{action.neuron} is not unfixed in this node")
-        phases = dict(parent.phases)
-        phases[action.neuron] = action.phase
+        phases = parent.phases.copy()
+        phases[u] = action.phase
         depth, clip, parent_id = (parent.depth + 1, parent.bounds,
                                   parent.node_id)
     try:
@@ -274,13 +264,13 @@ def expand(net: Network, query: Query, parent: NodeState | None,
         return NodeState(phases=phases, depth=depth, status="conflict",
                          action=action, parent_id=parent_id)
 
-    soi = soi_total(result.x, vmap)
+    soi = soi_total(net, result.x, vmap)
     status, witness = "open", None
     if soi <= SAT_SOI_TOL:
         candidate = result.x[vmap.x].copy()
         if check_witness(net, query, candidate):
             status, witness = "sat", candidate
-        elif Phase.UNFIXED not in phases.values():
+        elif not (phases == Phase.UNFIXED.value).any():
             raise RuntimeError(
                 "fully fixed node is LP-feasible but its witness fails "
                 "validation; solver tolerance breach")
@@ -317,7 +307,7 @@ class _Engine:
         self.rng = np.random.default_rng(budget.seed)
         self.out_direction = np.sum([c.coeffs for c in query.constraints],
                                     axis=0)
-        self.pi_table: dict[NeuronId, float] = {}
+        self.pi_table = np.zeros(net.num_relus)
         self.fctx = FeatureContext(net.num_relus, None)
         self.iterations = 0  # also the id of the next node
         self.splits = 0
@@ -348,18 +338,15 @@ class _Engine:
         if action is not None:  # every expanded parent is open, with an SoI
             child_soi = node.soi if node.status == "open" else 0.0
             delta = abs(parent.soi - child_soi)
-            self.pi_table[action.neuron] = pseudo_impact_update(
-                self.pi_table.get(action.neuron, 0.0), delta, PI_BETA)
+            u = self.net.relu_index(action.neuron)
+            self.pi_table[u] = pseudo_impact_update(
+                float(self.pi_table[u]), delta, PI_BETA)
         return node
 
     def _init_pi(self, root: NodeState):
-        widths = {}
-        for nid in self.net.relu_ids():
-            lo, hi = root.bounds.pre(nid)
-            widths[nid] = abs(hi - lo)
-        wmax = max(widths.values(), default=0.0)
-        for nid, w in widths.items():
-            self.pi_table[nid] = w / wmax if wmax > 0 else 0.0
+        widths = np.abs(root.bounds.pre_upper - root.bounds.pre_lower)
+        wmax = widths.max(initial=0.0)
+        self.pi_table = widths / wmax if wmax > 0 else np.zeros_like(widths)
 
     def _pick_action(self, node: NodeState) -> SplitAction:
         scores = compute_scores(self.net, node, self.out_direction,

@@ -101,6 +101,17 @@ def gradient_check_max_error(n_configs: int = 100, seed: int = 12,
     return worst
 
 
+def phase_vector(net: Network, fixed: dict | None = None) -> np.ndarray:
+    """The phase vector of ``net`` with every ReLU unfixed except those in
+    ``fixed`` (NeuronId -> Phase)."""
+    from relubab.numeric import Phase
+
+    phases = np.full(net.num_relus, Phase.UNFIXED, dtype=np.int8)
+    for nid, phase in (fixed or {}).items():
+        phases[net.relu_index(nid)] = phase
+    return phases
+
+
 def make_random_net(rng: np.random.Generator, n_in: int | None = None,
                     widths: list[int] | None = None) -> Network:
     """Small random ReLU net for property tests (weights uniform [-1, 1])."""

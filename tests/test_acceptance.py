@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import gradient_check_max_error
+from conftest import gradient_check_max_error, phase_vector
 from relubab.agent import (AgentPolicy, QNet, TrainerConfig,
                            TrajectoryCollector, double_dqn_target,
                            generate_demonstrations, margin_loss, q_forward,
@@ -219,16 +219,19 @@ def test_criterion_4_heuristic_formula_suite():
     close(polarity(-1.0, 1.0), 0.0)
     close(polarity(-1.0, 3.0), 0.5)
     close(polarity(-2.0, 0.5), -0.6)
-    bounds = propagate_intervals(toy, toy.input_lower, toy.input_upper, {})
-    scores = babsr_scores(toy, bounds, {}, np.array([1.0]))
-    close(scores[N1], 0.0)                 # zero bias, nu_hat <= 0
-    close(scores[N2], -1.0 / 3.0)          # slope 1/3 times nu_hat = 1
-    flipped = babsr_scores(toy, bounds, {}, np.array([-1.0]))
-    close(flipped[N2], 0.0)                # nu_hat <= 0 drops the slope term
+    unfixed = phase_vector(toy)
+    bounds = propagate_intervals(toy, toy.input_lower, toy.input_upper,
+                                 unfixed)
+    scores = babsr_scores(toy, bounds, unfixed, np.array([1.0]))
+    close(scores[0], 0.0)                  # N1: zero bias, nu_hat <= 0
+    close(scores[1], -1.0 / 3.0)           # N2: slope 1/3 times nu_hat = 1
+    flipped = babsr_scores(toy, bounds, unfixed, np.array([-1.0]))
+    close(flipped[1], 0.0)                 # nu_hat <= 0 drops the slope term
     all_fixed = babsr_scores(toy, bounds,
-                             {N1: Phase.ACTIVE, N2: Phase.INACTIVE},
+                             phase_vector(toy, {N1: Phase.ACTIVE,
+                                                N2: Phase.INACTIVE}),
                              np.array([1.0]))
-    checks.append(all_fixed == {})
+    checks.append(all_fixed.tolist() == [0.0, 0.0])
     # delayed rewards on synthetic logs
     events = [NodeEvent(0, -1, 0, None, "open", 2, 1.0),
               SplitEvent(0, N1, Phase.INACTIVE, 2)]

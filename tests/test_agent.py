@@ -25,8 +25,8 @@ def toy_root_features(toy, toy_query):
     from relubab.heuristics import compute_scores
     root = expand(toy, toy_query, None, None, tighten=True)
     fctx = FeatureContext(toy.num_relus, root.bounds)
-    scores = compute_scores(toy, root, np.array([1.0]), {N1: 1.0, N2: 0.75})
-    return featurize(root, scores, fctx), root, fctx
+    scores = compute_scores(toy, root, np.array([1.0]), np.array([1.0, 0.75]))
+    return featurize(toy, root, scores, fctx), root, fctx
 
 
 def random_state(rng, n_candidates):
@@ -59,8 +59,8 @@ class TestFeaturize:
         fctx = FeatureContext(toy.num_relus, root.bounds)
         fctx.running_max_splits = 1
         scores = compute_scores(toy, child, np.array([1.0]),
-                                {N1: 1.0, N2: 0.75})
-        state = featurize(child, scores, fctx)
+                                np.array([1.0, 0.75]))
+        state = featurize(toy, child, scores, fctx)
         assert len(state) == 2
         assert {c[0] for c in state.candidates} == {N2}
 
@@ -74,10 +74,11 @@ class TestFeaturize:
         from relubab.heuristics import HeuristicScores
         root = expand(toy, toy_query, None, None, tighten=True)
         fctx = FeatureContext(toy.num_relus, root.bounds)
-        empty = HeuristicScores(unfixed=[], soi={}, polarity={}, babsr={},
-                                pi={})
+        empty = HeuristicScores(unfixed=np.array([], dtype=int),
+                                soi=np.zeros(2), polarity=np.zeros(2),
+                                babsr=np.zeros(2), pi=np.zeros(2))
         with pytest.raises(ValueError):
-            featurize(root, empty, fctx)
+            featurize(toy, root, empty, fctx)
 
 
 class TestQForward:

@@ -3,7 +3,8 @@ import pytest
 
 from relubab.cli import main
 from relubab.harness import gen_random_suite, read_records_csv
-from relubab.model import emit_nnet, toy_network
+from relubab.model import Layer, Network, emit_nnet, toy_network
+from relubab.search import VerdictEvent, parse_event_log
 
 
 @pytest.fixture
@@ -29,8 +30,35 @@ def test_verify_writes_event_log(toy_files, tmp_path, capsys):
     assert main(["verify", "--net", str(net), "--prop", str(prop),
                  "--log", str(log)]) == 0
     text = log.read_text()
-    assert text.startswith("node id=0")
+    assert text.startswith("# query toy\nnode id=0")
     assert "verdict outcome=sat" in text
+
+
+def test_verify_logs_every_query(tmp_path, capsys):
+    # a 3-output network and one manifest point give two queries
+    rng = np.random.default_rng(0)
+    hidden = Layer(weight=rng.uniform(-1, 1, (4, 2)), bias=np.zeros(4),
+                   has_relu=True)
+    outs = Layer(weight=rng.uniform(-1, 1, (3, 4)),
+                 bias=np.array([0.0, 0.4, -0.2]), has_relu=False)
+    net_path = tmp_path / "m.nnet"
+    net_path.write_text(emit_nnet(Network(layers=(hidden, outs),
+                                          input_lower=-np.ones(2),
+                                          input_upper=np.ones(2))))
+    manifest = tmp_path / "points.txt"
+    manifest.write_text("0.1 0.2 ; 0.05\n")
+    log = tmp_path / "run.log"
+    assert main(["verify", "--net", str(net_path), "--robust-manifest",
+                 str(manifest), "--log", str(log)]) == 0
+    labels = [line.split()[0] for line in capsys.readouterr().out.splitlines()
+              if line.startswith("rob")]
+    assert len(labels) == 2
+    text = log.read_text()
+    headers = [line for line in text.splitlines() if line.startswith("#")]
+    assert headers == [f"# query {label}" for label in labels]
+    verdicts = [ev for ev in parse_event_log(text)
+                if isinstance(ev, VerdictEvent)]
+    assert len(verdicts) == 2
 
 
 def test_oracle_command(toy_files, capsys):

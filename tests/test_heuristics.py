@@ -6,11 +6,13 @@ import pytest
 from relubab.heuristics import (HeuristicScores, SplitAction, babsr_scores,
                                 compute_scores, polarity, pseudo_impact_update,
                                 relu_soi, select_split, soi_error, soi_total)
-from relubab.model import NeuronId
+from conftest import phase_vector
+from relubab.model import NeuronId, toy_network
 from relubab.numeric import Phase, propagate_intervals
 
 N1 = NeuronId(0, 0)
 N2 = NeuronId(0, 1)
+TOY = toy_network()
 
 
 class TestSoiError:
@@ -25,11 +27,12 @@ class TestSoiError:
 
 
 class TestSoiTotal:
-    # one layer of two neurons: solution = (pre N1, pre N2, post N1, post N2)
-    VMAP = SimpleNamespace(pre={0: slice(0, 2)}, post={0: slice(2, 4)})
+    # the toy's one layer of two neurons: solution = (pre N1, pre N2,
+    # post N1, post N2)
+    VMAP = SimpleNamespace(pre=np.array([0, 1]), post=np.array([2, 3]))
 
     def _total(self, pre, post):
-        return soi_total(np.array([*pre, *post]), self.VMAP)
+        return soi_total(TOY, np.array([*pre, *post]), self.VMAP)
 
     def test_all_exact(self):
         assert self._total((0.5, -1.0), (0.5, 0.0)) == 0.0
@@ -41,11 +44,11 @@ class TestSoiTotal:
         # both neurons at (pre, post) = (0, 0.5): each error is 0.5
         assert self._total((0.0, 0.0), (0.5, 0.5)) == 1.0
         per_neuron = relu_soi(np.array([0.0, 0.0, 0.5, 0.5]), self.VMAP)
-        np.testing.assert_array_equal(per_neuron[0], [0.5, 0.5])
+        np.testing.assert_array_equal(per_neuron, [0.5, 0.5])
 
     def test_missing_solution(self):
         with pytest.raises(ValueError):
-            soi_total(None, None)
+            soi_total(TOY, None, None)
 
 
 class TestPolarity:
@@ -72,38 +75,50 @@ class TestPolarity:
             assert polarity(k * a, k * b) == pytest.approx(polarity(a, b),
                                                            abs=1e-12)
 
+    def test_elementwise(self):
+        a, b = np.array([-1.0, -1.0, -2.0]), np.array([1.0, 3.0, 0.5])
+        np.testing.assert_array_equal(polarity(a, b), [0.0, 0.5, -0.6])
+        with pytest.raises(ValueError):
+            polarity(a, np.array([1.0, -0.5, 0.5]))
+
 
 class TestBabsrScores:
     def test_toy_root_hand_backward_pass(self, toy, toy_query):
         # output direction c = 1: lam = W_out^T c = (-1, 1). Zero biases
         # kill the first term; slopes are 2/4 and 1/3, so the scores are
         # n1: -0.5 * max(-1, 0) = 0 and n2: -(1/3) * max(1, 0) = -1/3.
-        bounds = propagate_intervals(toy, toy.input_lower, toy.input_upper, {})
-        scores = babsr_scores(toy, bounds, {}, np.array([1.0]))
-        assert scores[N1] == pytest.approx(0.0, abs=1e-12)
-        assert scores[N2] == pytest.approx(-1.0 / 3.0, abs=1e-12)
+        phases = phase_vector(toy)
+        bounds = propagate_intervals(toy, toy.input_lower, toy.input_upper,
+                                     phases)
+        scores = babsr_scores(toy, bounds, phases, np.array([1.0]))
+        assert scores[0] == pytest.approx(0.0, abs=1e-12)
+        assert scores[1] == pytest.approx(-1.0 / 3.0, abs=1e-12)
 
     def test_negative_nu_hat_drops_second_term(self, toy):
         # direction -1 flips lam to (1, -1); n2 has nu_hat <= 0 and zero
         # bias, so its score is exactly 0
-        bounds = propagate_intervals(toy, toy.input_lower, toy.input_upper, {})
-        scores = babsr_scores(toy, bounds, {}, np.array([-1.0]))
-        assert scores[N2] == 0.0
-        assert scores[N1] == pytest.approx(-0.5, abs=1e-12)
+        phases = phase_vector(toy)
+        bounds = propagate_intervals(toy, toy.input_lower, toy.input_upper,
+                                     phases)
+        scores = babsr_scores(toy, bounds, phases, np.array([-1.0]))
+        assert scores[1] == 0.0
+        assert scores[0] == pytest.approx(-0.5, abs=1e-12)
 
     def test_all_fixed_empty(self, toy):
+        # a fixed neuron has no score: its entry stays 0
+        phases = phase_vector(toy, {N1: Phase.ACTIVE, N2: Phase.INACTIVE})
         bounds = propagate_intervals(toy, toy.input_lower, toy.input_upper,
-                                     {N1: Phase.ACTIVE, N2: Phase.INACTIVE})
-        scores = babsr_scores(toy, bounds,
-                              {N1: Phase.ACTIVE, N2: Phase.INACTIVE},
-                              np.array([1.0]))
-        assert scores == {}
+                                     phases)
+        scores = babsr_scores(toy, bounds, phases, np.array([1.0]))
+        assert scores.tolist() == [0.0, 0.0]
 
     def test_degenerate_interval_rejected(self, toy):
-        bounds = propagate_intervals(toy, toy.input_lower, toy.input_upper, {})
-        bounds.pre_lower[0][0] = bounds.pre_upper[0][0] = 0.0
+        phases = phase_vector(toy)
+        bounds = propagate_intervals(toy, toy.input_lower, toy.input_upper,
+                                     phases)
+        bounds.pre_lower[0] = bounds.pre_upper[0] = 0.0
         with pytest.raises(ValueError):
-            babsr_scores(toy, bounds, {}, np.array([1.0]))
+            babsr_scores(toy, bounds, phases, np.array([1.0]))
 
 
 class TestPseudoImpact:
@@ -128,67 +143,80 @@ class TestPseudoImpact:
             assert pi >= 0.0
 
 
-def scores_of(unfixed, soi=None, pol=None, babsr=None, pi=None):
-    return HeuristicScores(unfixed=unfixed, soi=soi or {}, polarity=pol or {},
-                           babsr=babsr or {}, pi=pi or {})
+def scores_of(unfixed, soi=(0.0, 0.0), pol=(0.0, 0.0), babsr=(0.0, 0.0),
+              pi=(0.0, 0.0)):
+    """Scores over the toy's two ReLUs (positions 0 = N1 and 1 = N2)."""
+    return HeuristicScores(unfixed=np.array(unfixed, dtype=int),
+                           soi=np.array(soi), polarity=np.array(pol),
+                           babsr=np.array(babsr), pi=np.array(pi))
 
 
 def node_at(depth):
     return SimpleNamespace(depth=depth)
 
 
+def split(depth, strategy, scores):
+    return select_split(node_at(depth), strategy, None, scores, TOY)
+
+
 class TestSelectSplit:
     def test_polarity_picks_most_balanced(self):
-        scores = scores_of([N1, N2], pol={N1: 0.5, N2: -0.1})
-        action = select_split(node_at(4), "polarity", None, scores)
-        assert action == SplitAction(N2, Phase.INACTIVE)
+        scores = scores_of([0, 1], pol=(0.5, -0.1))
+        assert split(4, "polarity", scores) == SplitAction(N2, Phase.INACTIVE)
 
     def test_initial_splits_use_pseudo_impact(self):
         # depth 2 <= 3: the PI table decides even under the babsr strategy
-        scores = scores_of([N1, N2], babsr={N1: 10.0, N2: 0.0},
-                           pi={N1: 0.1, N2: 0.9})
-        action = select_split(node_at(2), "babsr", None, scores)
-        assert action.neuron == N2
+        scores = scores_of([0, 1], babsr=(10.0, 0.0), pi=(0.1, 0.9))
+        assert split(2, "babsr", scores).neuron == N2
 
     def test_depth_four_uses_strategy(self):
-        scores = scores_of([N1, N2], babsr={N1: 10.0, N2: 0.0},
-                           pi={N1: 0.1, N2: 0.9})
-        action = select_split(node_at(4), "babsr", None, scores)
-        assert action.neuron == N1
+        scores = scores_of([0, 1], babsr=(10.0, 0.0), pi=(0.1, 0.9))
+        assert split(4, "babsr", scores).neuron == N1
 
-    def test_tie_breaks_to_lowest_id(self):
-        scores = scores_of([N1, N2], soi={N1: 0.5, N2: 0.5})
-        action = select_split(node_at(4), "soi", None, scores)
-        assert action.neuron == N1
+    @pytest.mark.parametrize("depth, strategy, scores", [
+        (4, "soi", dict(soi=(0.5, 0.5))),
+        (4, "polarity", dict(pol=(0.5, -0.5))),
+        (4, "pseudo-impact", dict(pi=(0.3, 0.3))),
+        (4, "babsr", dict(babsr=(-0.2, -0.2))),
+        (3, "babsr", dict(babsr=(0.0, 1.0), pi=(0.3, 0.3))),
+    ], ids=["soi", "polarity", "pseudo-impact", "babsr", "initial-pi"])
+    def test_tie_breaks_to_lowest_id(self, depth, strategy, scores):
+        assert split(depth, strategy, scores_of([0, 1], **scores)).neuron \
+            == N1
+
+    @pytest.mark.parametrize("strategy", ["soi", "polarity", "pseudo-impact",
+                                          "babsr"])
+    def test_fixed_neurons_never_chosen(self, strategy):
+        # N1 is fixed: its entries, however good, are not candidates
+        scores = scores_of([1], soi=(9.0, 0.1), pol=(0.0, 0.9),
+                           babsr=(9.0, -5.0), pi=(9.0, 0.1))
+        assert split(4, strategy, scores).neuron == N2
 
     def test_soi_picks_largest_error(self):
-        scores = scores_of([N1, N2], soi={N1: 0.1, N2: 0.7})
-        assert select_split(node_at(4), "soi", None, scores).neuron == N2
+        scores = scores_of([0, 1], soi=(0.1, 0.7))
+        assert split(4, "soi", scores).neuron == N2
 
     def test_babsr_argmax_scale_invariant(self):
-        base = {N1: -0.2, N2: -0.9}
+        base = np.array([-0.2, -0.9])
         for k in (1.0, 3.5, 100.0):
-            scores = scores_of([N1, N2],
-                               babsr={n: k * v for n, v in base.items()})
-            assert select_split(node_at(4), "babsr", None,
-                                scores).neuron == N1
+            scores = scores_of([0, 1], babsr=k * base)
+            assert split(4, "babsr", scores).neuron == N1
 
     def test_no_unfixed_rejected(self):
         with pytest.raises(ValueError):
-            select_split(node_at(4), "soi", None, scores_of([]))
+            split(4, "soi", scores_of([]))
 
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):
-            select_split(node_at(4), "magic", None, scores_of([N1]))
+            split(4, "magic", scores_of([0]))
 
     def test_policy_object_chooses_beyond_initial_depth(self):
         class FakePolicy:
             def choose(self, net, node, scores, fctx, rng):
                 return SplitAction(N2, Phase.ACTIVE)
 
-        scores = scores_of([N1, N2], pi={N1: 1.0, N2: 0.0})
-        action = select_split(node_at(5), FakePolicy(), None, scores)
-        assert action == SplitAction(N2, Phase.ACTIVE)
+        scores = scores_of([0, 1], pi=(1.0, 0.0))
+        assert split(5, FakePolicy(), scores) == SplitAction(N2, Phase.ACTIVE)
         # but the shared initial policy still rules shallow nodes
-        action = select_split(node_at(1), FakePolicy(), None, scores)
-        assert action == SplitAction(N1, Phase.INACTIVE)
+        assert split(1, FakePolicy(), scores) == SplitAction(N1,
+                                                             Phase.INACTIVE)

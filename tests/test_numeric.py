@@ -3,7 +3,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_random_net
+from conftest import make_random_net, phase_vector
 from relubab.model import NeuronId, evaluate_batch
 from relubab.numeric import (BoundedSimplex, Conflict, LPError,
                              LPIterationError, LPProblem, Phase,
@@ -20,29 +20,32 @@ class TestPropagateIntervals:
     def test_toy_full_box(self, toy):
         # hand interval arithmetic: 2*x1 in [-2,2]; x1-x2 in [-2,1];
         # y = -relu(n1) + relu(n2) in [-2,1]
-        b = propagate_intervals(toy, toy.input_lower, toy.input_upper, {})
-        assert b.pre(N1) == (-2.0, 2.0)
-        assert b.pre(N2) == (-2.0, 1.0)
+        b = propagate_intervals(toy, toy.input_lower, toy.input_upper,
+                                phase_vector(toy))
+        assert b.pre_lower.tolist() == [-2.0, -2.0]
+        assert b.pre_upper.tolist() == [2.0, 1.0]
         assert (b.output_lower[0], b.output_upper[0]) == (-2.0, 1.0)
 
     def test_toy_both_inactive(self, toy):
         b = propagate_intervals(toy, toy.input_lower, toy.input_upper,
-                                {N1: Phase.INACTIVE, N2: Phase.INACTIVE})
-        assert b.post(N1) == (0.0, 0.0)
-        assert b.post(N2) == (0.0, 0.0)
+                                phase_vector(toy, {N1: Phase.INACTIVE,
+                                                   N2: Phase.INACTIVE}))
+        assert b.post_lower.tolist() == [0.0, 0.0]
+        assert b.post_upper.tolist() == [0.0, 0.0]
         assert (b.output_lower[0], b.output_upper[0]) == (0.0, 0.0)
 
     def test_contradictory_phase_conflicts(self, toy):
         # shrink the box so n1's pre-activation is at least 0.5
         with pytest.raises(Conflict):
             propagate_intervals(toy, np.array([0.25, 0.0]),
-                                np.array([1.0, 1.0]), {N1: Phase.INACTIVE})
+                                np.array([1.0, 1.0]),
+                                phase_vector(toy, {N1: Phase.INACTIVE}))
 
     def test_active_clips_pre_lower(self, toy):
         b = propagate_intervals(toy, toy.input_lower, toy.input_upper,
-                                {N1: Phase.ACTIVE})
-        assert b.pre(N1) == (0.0, 2.0)
-        assert b.post(N1) == (0.0, 2.0)
+                                phase_vector(toy, {N1: Phase.ACTIVE}))
+        assert (b.pre_lower[0], b.pre_upper[0]) == (0.0, 2.0)
+        assert (b.post_lower[0], b.post_upper[0]) == (0.0, 2.0)
 
     def test_soundness_random(self):
         # sampled points consistent with the imposed phases stay inside
@@ -50,9 +53,10 @@ class TestPropagateIntervals:
         checked = 0
         for _ in range(1000):
             net = make_random_net(rng)
-            ids = net.relu_ids()
-            phases = {nid: Phase(rng.choice(["active", "inactive"]))
-                      for nid in ids if rng.random() < 0.25}
+            phases = phase_vector(net)
+            for j in range(net.num_relus):
+                if rng.random() < 0.25:
+                    phases[j] = rng.choice([Phase.ACTIVE, Phase.INACTIVE])
             try:
                 bounds = propagate_intervals(net, net.input_lower,
                                              net.input_upper, phases)
@@ -65,21 +69,17 @@ class TestPropagateIntervals:
                 pre = layer.weight @ a + layer.bias[:, None]
                 if not layer.has_relu:
                     continue
-                for nid, ph in phases.items():
-                    if nid.layer != k:
-                        continue
-                    if ph is Phase.ACTIVE:
-                        ok &= pre[nid.index] >= 0
-                    else:
-                        ok &= pre[nid.index] <= 0
-                inside = (pre[:, ok] >= bounds.pre_lower[k][:, None] - 1e-9) \
-                    & (pre[:, ok] <= bounds.pre_upper[k][:, None] + 1e-9)
+                sl = net.relu_slices[k]
+                active = phases[sl] == Phase.ACTIVE
+                inactive = phases[sl] == Phase.INACTIVE
+                ok &= (pre[active] >= 0).all(axis=0)
+                ok &= (pre[inactive] <= 0).all(axis=0)
+                inside = (pre[:, ok] >= bounds.pre_lower[sl][:, None] - 1e-9) \
+                    & (pre[:, ok] <= bounds.pre_upper[sl][:, None] + 1e-9)
                 assert inside.all()
                 checked += int(ok.sum())
                 a = np.maximum(pre, 0.0)
-                for nid, ph in phases.items():
-                    if nid.layer == k and ph is Phase.INACTIVE:
-                        a[nid.index] = 0.0
+                a[inactive] = 0.0
         assert checked > 10_000
 
 
@@ -112,6 +112,19 @@ class TestTriangleRelaxation:
                 assert tri.satisfied(float(pre), max(0.0, float(pre)),
                                      tol=1e-9)
 
+    def test_elementwise(self):
+        a, b = np.array([-1.0, -3.0]), np.array([1.0, 0.5])
+        tri = triangle_relaxation(a, b)
+        for i in range(2):
+            one = triangle_relaxation(a[i], b[i])
+            assert tri.slope[i] == one.slope
+            assert [tuple(np.broadcast_to(v, 2)[i] for v in row)
+                    for row in tri.rows] == list(one.rows)
+        assert tri.satisfied(np.array([0.0, 0.0]), np.array([0.5, 0.4]))
+        assert not tri.satisfied(np.array([0.0, 0.0]), np.array([0.5, 0.5]))
+        with pytest.raises(ValueError):
+            triangle_relaxation(a, np.array([1.0, -0.5]))
+
 
 class TestSolveLP:
     def test_maximize_box(self):
@@ -139,8 +152,10 @@ class TestSolveLP:
     def test_toy_root_relaxation_min_y(self, toy, toy_query):
         # relaxed minimum of y over the root: post1 can reach 2 while post2
         # sits at 0, so min y = -2 (does not prune the root at -0.5)
-        bounds = propagate_intervals(toy, toy.input_lower, toy.input_upper, {})
-        problem, vmap = build_relaxation(toy, bounds, {},
+        phases = phase_vector(toy)
+        bounds = propagate_intervals(toy, toy.input_lower, toy.input_upper,
+                                     phases)
+        problem, vmap = build_relaxation(toy, bounds, phases,
                                          toy_query.constraints)
         c = np.zeros(vmap.n_vars)
         c[vmap.y] = 1.0
@@ -205,30 +220,34 @@ class TestSolveLP:
 class TestTightenBounds:
     def test_n1_inactive_deduces_inputs(self, toy):
         # without the output rows: x1 <= 0 and hence n2 pre <= 0
+        phases = phase_vector(toy, {N1: Phase.INACTIVE})
         bounds = propagate_intervals(toy, toy.input_lower, toy.input_upper,
-                                     {N1: Phase.INACTIVE})
-        tightened = tighten_bounds_lp(toy, bounds, {N1: Phase.INACTIVE})
+                                     phases)
+        tightened = tighten_bounds_lp(toy, bounds, phases)
         assert tightened.input_upper[0] == pytest.approx(0.0, abs=1e-6)
-        assert tightened.pre(N2)[1] == pytest.approx(0.0, abs=1e-6)
+        assert tightened.pre_upper[1] == pytest.approx(0.0, abs=1e-6)
 
     def test_n1_inactive_with_property_conflicts(self, toy, toy_query):
         # post1 pinned to 0 makes y >= 0, contradicting y <= -0.5
+        phases = phase_vector(toy, {N1: Phase.INACTIVE})
         bounds = propagate_intervals(toy, toy.input_lower, toy.input_upper,
-                                     {N1: Phase.INACTIVE})
+                                     phases)
         with pytest.raises(Conflict):
-            tighten_bounds_lp(toy, bounds, {N1: Phase.INACTIVE},
-                              toy_query.constraints)
+            tighten_bounds_lp(toy, bounds, phases, toy_query.constraints)
 
     def test_n2_active_tightens_x1(self, toy):
+        phases = phase_vector(toy, {N2: Phase.ACTIVE})
         bounds = propagate_intervals(toy, toy.input_lower, toy.input_upper,
-                                     {N2: Phase.ACTIVE})
-        tightened = tighten_bounds_lp(toy, bounds, {N2: Phase.ACTIVE})
+                                     phases)
+        tightened = tighten_bounds_lp(toy, bounds, phases)
         assert tightened.input_lower[0] == pytest.approx(0.0, abs=1e-6)
 
     def test_fixpoint_stable(self, toy):
-        bounds = propagate_intervals(toy, toy.input_lower, toy.input_upper, {})
-        once = tighten_bounds_lp(toy, bounds, {})
-        twice = tighten_bounds_lp(toy, once, {})
+        phases = phase_vector(toy)
+        bounds = propagate_intervals(toy, toy.input_lower, toy.input_upper,
+                                     phases)
+        once = tighten_bounds_lp(toy, bounds, phases)
+        twice = tighten_bounds_lp(toy, once, phases)
         np.testing.assert_allclose(twice.input_lower, once.input_lower,
                                    atol=1e-7)
         np.testing.assert_allclose(twice.input_upper, once.input_upper,
@@ -238,16 +257,14 @@ class TestTightenBounds:
         rng = np.random.default_rng(11)
         for _ in range(25):
             net = make_random_net(rng)
+            phases = phase_vector(net)
             bounds = propagate_intervals(net, net.input_lower,
-                                         net.input_upper, {})
-            tightened = tighten_bounds_lp(net, bounds, {})
+                                         net.input_upper, phases)
+            tightened = tighten_bounds_lp(net, bounds, phases)
             assert (tightened.input_lower >= bounds.input_lower - 1e-12).all()
             assert (tightened.input_upper <= bounds.input_upper + 1e-12).all()
-            for k in bounds.pre_lower:
-                assert (tightened.pre_lower[k]
-                        >= bounds.pre_lower[k] - 1e-12).all()
-                assert (tightened.pre_upper[k]
-                        <= bounds.pre_upper[k] + 1e-12).all()
+            assert (tightened.pre_lower >= bounds.pre_lower - 1e-12).all()
+            assert (tightened.pre_upper <= bounds.pre_upper + 1e-12).all()
 
 
 class TestSolveRelaxation:
@@ -256,16 +273,19 @@ class TestSolveRelaxation:
         # (0,2/3); with y <= -0.5 the joint optimum is 1.5 at (post1, post2)
         # = (1, 2/3 limited by y row...) -- frozen from the hand-checkable
         # unconstrained value: without the output row the max is 1 + 2/3
-        bounds = propagate_intervals(toy, toy.input_lower, toy.input_upper, {})
-        res, vmap = solve_relaxation(toy, bounds, {})
+        phases = phase_vector(toy)
+        bounds = propagate_intervals(toy, toy.input_lower, toy.input_upper,
+                                     phases)
+        res, vmap = solve_relaxation(toy, bounds, phases)
         assert res.feasible
         assert res.objective == pytest.approx(1.0 + 2.0 / 3.0, abs=1e-7)
 
     def test_infeasible_relaxation(self, toy):
+        phases = phase_vector(toy, {N1: Phase.INACTIVE, N2: Phase.INACTIVE})
         bounds = propagate_intervals(toy, toy.input_lower, toy.input_upper,
-                                     {N1: Phase.INACTIVE, N2: Phase.INACTIVE})
+                                     phases)
         res, _ = solve_relaxation(
-            toy, bounds, {N1: Phase.INACTIVE, N2: Phase.INACTIVE},
+            toy, bounds, phases,
             (OutputConstraint(coeffs=np.array([1.0]), bound=-0.5),))
         assert res.status == "infeasible"
 
@@ -394,16 +414,15 @@ def relaxation_lps(draw):
     random output row that sometimes empties the relaxation."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     net = make_random_net(rng)
-    drawn = {nid: draw(st.sampled_from(list(Phase)))
-             for nid in net.relu_ids()}
-    phases = {nid: ph for nid, ph in drawn.items() if ph is not Phase.UNFIXED}
+    phases = np.array([draw(st.sampled_from(list(Phase)))
+                       for _ in range(net.num_relus)], dtype=np.int8)
     try:
         bounds = propagate_intervals(net, net.input_lower, net.input_upper,
                                      phases)
     except Conflict:
+        phases = phase_vector(net)
         bounds = propagate_intervals(net, net.input_lower, net.input_upper,
-                                     {})
-        phases = {}
+                                     phases)
     threshold = draw(st.floats(-2.0, 2.0))
     problem, vmap = build_relaxation(
         net, bounds, phases,
@@ -437,9 +456,7 @@ class TestSimplexAgainstHighs:
         assert sx.find_feasible() == feasible
         if not feasible:
             return
-        cols = list(range(net.input_dim))
-        for sl in vmap.pre.values():
-            cols.extend(range(sl.start, sl.stop))
+        cols = [*range(net.input_dim), *vmap.pre]
         for col in cols:
             c = np.zeros(vmap.n_vars)
             c[col] = 1.0

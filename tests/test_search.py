@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_random_net
+from conftest import make_random_net, phase_vector
 from relubab.harness import brute_force_verify, gen_random_suite
 from relubab.model import Layer, Network, NeuronId, evaluate
 from relubab.numeric import Phase, propagate_intervals
@@ -100,28 +100,34 @@ class TestVerifyToy:
 
 class TestDeducePhases:
     def test_negative_interval_fixes_inactive(self, toy):
+        phases = phase_vector(toy)
         bounds = propagate_intervals(toy, np.array([-1.0, 0.0]),
-                                     np.array([0.0, 1.0]), {})
-        fixes = dict(deduce_phases(bounds))
-        assert fixes[N2] is Phase.INACTIVE
+                                     np.array([0.0, 1.0]), phases)
+        assert deduce_phases(bounds, phases) >= 1
+        assert phases[1] == Phase.INACTIVE
 
     def test_positive_interval_fixes_active(self, toy):
+        phases = phase_vector(toy)
         bounds = propagate_intervals(toy, np.array([0.05, 0.0]),
-                                     np.array([1.0, 1.0]), {})
-        fixes = dict(deduce_phases(bounds))
-        assert fixes[N1] is Phase.ACTIVE
+                                     np.array([1.0, 1.0]), phases)
+        assert deduce_phases(bounds, phases) >= 1
+        assert phases[0] == Phase.ACTIVE
 
     def test_straddling_interval_stays_unfixed(self, toy):
-        bounds = propagate_intervals(toy, toy.input_lower, toy.input_upper, {})
-        assert deduce_phases(bounds) == []
+        phases = phase_vector(toy)
+        bounds = propagate_intervals(toy, toy.input_lower, toy.input_upper,
+                                     phases)
+        assert deduce_phases(bounds, phases) == 0
+        assert phases.tolist() == [Phase.UNFIXED] * 2
 
     def test_fixpoint(self, toy):
+        phases = phase_vector(toy)
         bounds = propagate_intervals(toy, np.array([-1.0, 0.0]),
-                                     np.array([0.0, 1.0]), {})
-        phases = dict(deduce_phases(bounds))
+                                     np.array([0.0, 1.0]), phases)
+        deduce_phases(bounds, phases)
         bounds2 = propagate_intervals(toy, np.array([-1.0, 0.0]),
                                       np.array([0.0, 1.0]), phases)
-        assert deduce_phases(bounds2, phases) == []
+        assert deduce_phases(bounds2, phases) == 0
 
 
 class TestApplySplit:
@@ -151,6 +157,16 @@ class TestApplySplit:
                        tighten=True)
         with pytest.raises(ValueError):
             expand(toy, toy_query, child, SplitAction(N1, Phase.ACTIVE),
+                   tighten=True)
+
+    @pytest.mark.parametrize("neuron", [NeuronId(0, 2), NeuronId(1, 0),
+                                        NeuronId(0, -1)],
+                             ids=["past-layer-end", "output-layer",
+                                  "negative-index"])
+    def test_split_outside_network_rejected(self, toy, toy_query, neuron):
+        root = expand(toy, toy_query, None, None, tighten=True)
+        with pytest.raises(ValueError):
+            expand(toy, toy_query, root, SplitAction(neuron, Phase.INACTIVE),
                    tighten=True)
 
     def test_children_partition_parent(self, toy, toy_query):

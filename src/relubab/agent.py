@@ -34,7 +34,8 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .heuristics import HeuristicScores, STATIC_STRATEGIES, SplitAction
+from .heuristics import INITIAL_SPLIT_DEPTH, HeuristicScores, \
+    STATIC_STRATEGIES, SplitAction
 from .model import Network, NeuronId
 from .numeric import Phase
 from .query import Query
@@ -70,14 +71,6 @@ def _minmax(v: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return (v - lo) / (hi - lo) if hi > lo else np.full_like(v, 0.5)
 
 
-def _root_scales(root_bounds) -> tuple[float, float, float, float]:
-    """Network-wide (pre_min, pre_max, post_min, post_max) at the root."""
-    return (float(root_bounds.pre_lower.min()),
-            float(root_bounds.pre_upper.max()),
-            float(root_bounds.post_lower.min()),
-            float(root_bounds.post_upper.max()))
-
-
 def featurize(net: Network, node, scores: HeuristicScores,
               fctx) -> StateFeatures:
     """Deterministic candidate features for one node.
@@ -96,7 +89,7 @@ def featurize(net: Network, node, scores: HeuristicScores,
         node.depth / total,
         node.splits_so_far / max(1, fctx.running_max_splits),
     )
-    rlo, rhi, rplo, rphi = _root_scales(fctx.root_bounds)
+    rlo, rhi, rplo, rphi = fctx.root_scales
     bounds = node.bounds
     status = node.phases[unfixed]
     local = np.array((
@@ -327,17 +320,18 @@ def record_delayed_rewards(events: Iterable,
 
 
 def policy_transitions(events: Iterable,
-                       captures: Sequence[tuple[StateFeatures, int]],
-                       min_depth: int = 4) -> list[Transition]:
+                       captures: Sequence[tuple[StateFeatures, int]]
+                       ) -> list[Transition]:
     """Transitions restricted to the decisions the strategy controls.
 
-    Splits at depth < min_depth belong to the shared initial policy, not to
-    the learned policy, so they are treated as environment dynamics: their
-    states never enter the replay buffer, and the one-step chain links
-    consecutive controllable decisions (terminal on the last one).
+    Splits at depth <= INITIAL_SPLIT_DEPTH belong to the shared initial
+    policy, not to the learned policy, so they are treated as environment
+    dynamics: their states never enter the replay buffer, and the one-step
+    chain links consecutive controllable decisions (terminal on the last
+    one).
     """
     full_chain = record_delayed_rewards(events, captures)
-    deep = [t for t in full_chain if t.depth >= min_depth]
+    deep = [t for t in full_chain if t.depth > INITIAL_SPLIT_DEPTH]
     for i, tr in enumerate(deep):
         tr.next_state = deep[i + 1].state if i + 1 < len(deep) else None
         tr.terminal = i + 1 == len(deep)

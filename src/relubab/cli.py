@@ -12,17 +12,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .harness import (SuiteConfig, SuiteInstance, _strategy_object,
-                      aggregate, brute_force_verify, cumulative_curve,
-                      gen_random_suite, load_instance, read_records_csv,
-                      run_suite, write_curve, write_summary)
+from .harness import (SuiteInstance, aggregate, brute_force_verify,
+                      cumulative_curve, gen_random_suite, load_instance,
+                      make_strategy, read_records_csv, run_suite,
+                      write_curve, write_summary)
+from .heuristics import STATIC_STRATEGIES
 from .model import load_nnet
 from .query import load_robustness_manifest, make_robustness_queries, \
     parse_property
 from .search import Budget, events_to_text, verify
-
-STRATEGY_CHOICES = ("soi", "polarity", "pseudo-impact", "babsr", "agent")
-
 
 def _budget(args) -> Budget:
     return Budget(timeout_s=args.timeout_s,
@@ -38,6 +36,14 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--normalize-inputs", action="store_true",
                    help="map manifest points through the NNet header's "
                         "input normalization before building queries")
+
+
+def _add_query_args(p: argparse.ArgumentParser, net_required: bool):
+    p.add_argument("--net", required=net_required)
+    p.add_argument("--prop")
+    p.add_argument("--robust-manifest")
+    p.add_argument("--comparator", choices=("argmax", "argmin"),
+                   default="argmax")
 
 
 def _load_queries(args, net):
@@ -66,7 +72,7 @@ def cmd_verify(args) -> int:
     net = load_nnet(Path(args.net).read_text())
     queries = _load_queries(args, net)
     try:
-        strategy = _strategy_object(args.strategy, args.checkpoint)
+        strategy = make_strategy(args.strategy, args.checkpoint)
     except ValueError as err:  # agent without a usable --checkpoint
         raise SystemExit(f"--strategy {args.strategy}: {err}") from None
     any_sat = False
@@ -123,13 +129,12 @@ def _suite_instances(args) -> list[SuiteInstance]:
 
 def cmd_bench(args) -> int:
     instances = _suite_instances(args)
-    config = SuiteConfig(
-        instances=instances,
-        strategies=list(args.strategies.split(",")),
-        budget=_budget(args), workers=args.workers,
-        out_dir=Path(args.out) if args.out else None,
-        checkpoint=args.checkpoint, tighten=not args.no_tighten)
-    records = run_suite(config)
+    try:
+        records = run_suite(instances, args.strategies.split(","),
+                            _budget(args), args.workers, args.out,
+                            args.checkpoint, tighten=not args.no_tighten)
+    except ValueError as err:  # raised before any job or output file
+        raise SystemExit(f"--strategies {args.strategies}: {err}") from None
     for summary in aggregate(records, args.timeout_s * 1000.0):
         print(f"{summary.strategy}: SAT={summary.sats} UNSAT={summary.unsats} "
               f"TIMEOUT={summary.timeouts} ERROR={summary.errors} "
@@ -194,12 +199,9 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="verify a single query")
-    p.add_argument("--net", required=True)
-    p.add_argument("--prop")
-    p.add_argument("--robust-manifest")
-    p.add_argument("--comparator", choices=("argmax", "argmin"),
-                   default="argmax")
-    p.add_argument("--strategy", choices=STRATEGY_CHOICES, default="babsr")
+    _add_query_args(p, net_required=True)
+    p.add_argument("--strategy", choices=STATIC_STRATEGIES + ("agent",),
+                   default="babsr")
     p.add_argument("--checkpoint")
     p.add_argument("--log", help="write the event log here, each query's "
                    "headed by a '# query <label>' line")
@@ -207,22 +209,16 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("oracle", help="brute-force ground truth")
-    p.add_argument("--net", required=True)
-    p.add_argument("--prop")
-    p.add_argument("--robust-manifest")
-    p.add_argument("--comparator", choices=("argmax", "argmin"),
-                   default="argmax")
+    _add_query_args(p, net_required=True)
     _add_common(p)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("bench", help="run a suite of queries")
     p.add_argument("--suite-dir", help="directory of paired .nnet/.prop files")
-    p.add_argument("--net")
-    p.add_argument("--prop")
-    p.add_argument("--robust-manifest")
-    p.add_argument("--comparator", choices=("argmax", "argmin"),
-                   default="argmax")
-    p.add_argument("--strategies", default="soi,polarity,pseudo-impact,babsr")
+    _add_query_args(p, net_required=False)
+    p.add_argument("--strategies", default=",".join(STATIC_STRATEGIES),
+                   help="comma-separated names from "
+                        f"{', '.join(STATIC_STRATEGIES + ('agent',))}")
     p.add_argument("--checkpoint")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out")
@@ -231,11 +227,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("train", help="train the splitting agent")
     p.add_argument("--suite-dir")
-    p.add_argument("--net")
-    p.add_argument("--prop")
-    p.add_argument("--robust-manifest")
-    p.add_argument("--comparator", choices=("argmax", "argmin"),
-                   default="argmax")
+    _add_query_args(p, net_required=False)
     p.add_argument("--demo-fraction", type=float, default=0.05)
     p.add_argument("--demo-epochs", type=int, default=5)
     p.add_argument("--demo-steps", type=int, default=1000)

@@ -5,6 +5,12 @@ The oracle enumerates activation patterns and solves one exact LP per
 pattern over the inputs only (the network collapses to an affine map once
 a pattern is fixed), so it shares no code path with the branch-and-bound
 engine beyond the LP solver itself.
+
+``make_strategy`` turns a strategy name (one of ``STATIC_STRATEGIES`` or
+"agent") into the policy ``verify`` runs; the CLI and ``run_suite`` share
+it. ``run_suite`` resolves every name once, before its first job, so a bad
+name or a missing agent checkpoint raises instead of filling ERROR rows,
+and an agent checkpoint is read once per suite, not once per query.
 """
 
 from __future__ import annotations
@@ -13,12 +19,13 @@ import csv
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
+from .heuristics import STATIC_STRATEGIES
 from .model import Layer, Network, NeuronId, emit_nnet, evaluate_batch, \
     load_nnet
 from .numeric import LPProblem, solve_lp
@@ -190,66 +197,65 @@ class RunRecord:
                 self.seed, self.checkpoint]
 
 
-@dataclass
-class SuiteConfig:
-    instances: list[SuiteInstance]
-    strategies: list
-    budget: Budget = field(default_factory=Budget)
-    workers: int = 1
-    out_dir: Optional[Path] = None
-    checkpoint: Optional[str] = None
-    tighten: bool = True
-
-    def __post_init__(self):
-        if not self.instances or not self.strategies:
-            raise ValueError("suite needs at least one query and strategy")
-
-
-def _strategy_object(strategy, checkpoint):
-    if strategy == "agent":
+def make_strategy(name: str, checkpoint=None):
+    """The policy ``verify`` runs for a strategy name: the name itself for
+    a static heuristic, an ``AgentPolicy`` loaded from ``checkpoint`` for
+    "agent". An unknown name, or "agent" without a checkpoint, raises
+    ValueError."""
+    if name == "agent":
         from .agent import AgentPolicy, load_checkpoint
         if checkpoint is None:
             raise ValueError("agent strategy needs a checkpoint")
         qnet, _ = load_checkpoint(checkpoint)
         return AgentPolicy(qnet)
-    return strategy
+    if name not in STATIC_STRATEGIES:
+        raise ValueError(f"unknown strategy {name!r}; expected one of "
+                         f"{', '.join(STATIC_STRATEGIES + ('agent',))}")
+    return name
 
 
-def _run_one(inst: SuiteInstance, strategy, checkpoint, budget: Budget,
-             tighten: bool) -> RunRecord:
-    name = strategy if isinstance(strategy, str) else "agent"
+def _record(inst: SuiteInstance, name: str, budget: Budget, checkpoint,
+            verdict: Verdict | None = None) -> RunRecord:
+    """The CSV row of one job; an ERROR row when the job raised."""
+    verdict = verdict or Verdict(outcome="ERROR")
+    return RunRecord(query_id=inst.query_id, strategy=name,
+                     verdict=verdict.outcome,
+                     wall_time_ms=verdict.wall_time_ms,
+                     iterations=verdict.iterations, splits=verdict.splits,
+                     seed=budget.seed, checkpoint=str(checkpoint or ""))
+
+
+def _run_one(inst: SuiteInstance, name: str, policy, checkpoint,
+             budget: Budget, tighten: bool) -> RunRecord:
     try:
-        policy = _strategy_object(strategy, checkpoint)
         verdict = verify(inst.net, inst.query, policy, budget,
                          tighten=tighten)
-        return RunRecord(query_id=inst.query_id, strategy=name,
-                         verdict=verdict.outcome,
-                         wall_time_ms=verdict.wall_time_ms,
-                         iterations=verdict.iterations,
-                         splits=verdict.splits, seed=budget.seed,
-                         checkpoint=str(checkpoint or ""))
     except Exception:
         traceback.print_exc()
-        return RunRecord(query_id=inst.query_id, strategy=name,
-                         verdict="ERROR", wall_time_ms=0.0, iterations=0,
-                         splits=0, seed=budget.seed,
-                         checkpoint=str(checkpoint or ""))
+        return _record(inst, name, budget, checkpoint)
+    return _record(inst, name, budget, checkpoint, verdict)
 
 
-def run_suite(config: SuiteConfig) -> list[RunRecord]:
-    """Every (query, strategy) pair under the budget; records are flushed
+def run_suite(instances: Sequence[SuiteInstance], strategies: Sequence[str],
+              budget: Budget | None = None, workers: int = 1,
+              out_dir: str | Path | None = None, checkpoint=None,
+              tighten: bool = True) -> list[RunRecord]:
+    """Every (query, strategy) pair under the budget.
+
+    Each strategy name is resolved once, before any job runs, so an
+    unknown name or an agent without a usable checkpoint raises ValueError
+    and the agent checkpoint is loaded once per call. Records are flushed
     to CSV incrementally when an output directory is set, and a crashed
     run becomes an ERROR row rather than a dropped one."""
-    jobs = [(inst, strat) for inst in config.instances
-            for strat in config.strategies]
-    writer = None
-    csv_file = None
-    if config.out_dir is not None:
-        config.out_dir = Path(config.out_dir)
-        config.out_dir.mkdir(parents=True, exist_ok=True)
-        csv_file = open(config.out_dir / "records.csv", "w", newline="")
-        writer = csv.writer(csv_file)
-        writer.writerow(CSV_COLUMNS)
+    if not instances or not strategies:
+        raise ValueError("suite needs at least one query and strategy")
+    budget = budget or Budget()
+    policies = {name: make_strategy(name, checkpoint) for name in strategies}
+    jobs = [(inst, name) for inst in instances for name in strategies]
+    csv_file = writer = None
+    if out_dir is not None:
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
+        csv_file, writer = _open_records_csv(Path(out_dir) / "records.csv")
     records = []
 
     def emit(rec: RunRecord):
@@ -259,28 +265,21 @@ def run_suite(config: SuiteConfig) -> list[RunRecord]:
             csv_file.flush()
 
     try:
-        if config.workers <= 1:
-            for inst, strat in jobs:
-                emit(_run_one(inst, strat, config.checkpoint, config.budget,
-                              config.tighten))
+        if workers <= 1:
+            for inst, name in jobs:
+                emit(_run_one(inst, name, policies[name], checkpoint, budget,
+                              tighten))
         else:
-            with ProcessPoolExecutor(max_workers=config.workers) as pool:
-                futures = {pool.submit(_run_one, inst, strat,
-                                       config.checkpoint, config.budget,
-                                       config.tighten): (inst, strat)
-                           for inst, strat in jobs}
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                futures = {pool.submit(_run_one, inst, name, policies[name],
+                                       checkpoint, budget, tighten):
+                           (inst, name) for inst, name in jobs}
                 for fut in as_completed(futures):
-                    inst, strat = futures[fut]
                     try:
                         emit(fut.result())
                     except Exception:
                         traceback.print_exc()
-                        name = strat if isinstance(strat, str) else "agent"
-                        emit(RunRecord(query_id=inst.query_id, strategy=name,
-                                       verdict="ERROR", wall_time_ms=0.0,
-                                       iterations=0, splits=0,
-                                       seed=config.budget.seed,
-                                       checkpoint=str(config.checkpoint or "")))
+                        emit(_record(*futures[fut], budget, checkpoint))
     finally:
         if csv_file is not None:
             csv_file.close()
@@ -289,12 +288,18 @@ def run_suite(config: SuiteConfig) -> list[RunRecord]:
     return records
 
 
+def _open_records_csv(path: str | Path):
+    """An open records file with its header written, and its CSV writer."""
+    fh = open(path, "w", newline="")
+    writer = csv.writer(fh)
+    writer.writerow(CSV_COLUMNS)
+    return fh, writer
+
+
 def write_records_csv(path: str | Path, records: Sequence[RunRecord]):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for rec in records:
-            writer.writerow(rec.row())
+    fh, writer = _open_records_csv(path)
+    with fh:
+        writer.writerows(rec.row() for rec in records)
 
 
 def read_records_csv(path: str | Path) -> list[RunRecord]:

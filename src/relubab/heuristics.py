@@ -39,8 +39,6 @@ from .numeric import Phase, VarMap
 PI_BETA = 0.5
 INITIAL_SPLIT_DEPTH = 3  # nodes at depth <= 3 split by Pseudo-Impact
 
-STATIC_STRATEGIES = ("soi", "polarity", "pseudo-impact", "babsr")
-
 
 @dataclass(frozen=True)
 class SplitAction:
@@ -157,32 +155,38 @@ def compute_scores(net: Network, node, output_direction: np.ndarray,
                            polarity=pol, babsr=babsr, pi=pi)
 
 
+# name -> rule: the position, among the unfixed positions u, of the neuron
+# to split; np.argmax/np.argmin take the first occurrence on a tie
+_SPLIT_RULES = {
+    "soi": lambda scores, u: np.argmax(scores.soi[u]),
+    "polarity": lambda scores, u: np.argmin(np.abs(scores.polarity[u])),
+    "pseudo-impact": lambda scores, u: np.argmax(scores.pi[u]),
+    "babsr": lambda scores, u: np.argmax(scores.babsr[u]),
+}
+# the order is behaviour: generate_demonstrations keeps the first of the
+# strategies with the fewest iterations
+STATIC_STRATEGIES = tuple(_SPLIT_RULES)
+
+
 def select_split(node, strategy, rng, scores: HeuristicScores, net: Network,
                  fctx=None):
     """Pick the next SplitAction for a node.
 
-    Nodes at depth <= INITIAL_SPLIT_DEPTH use the Pseudo-Impact ranking no
+    Nodes at depth <= INITIAL_SPLIT_DEPTH use the Pseudo-Impact rule no
     matter which strategy runs the search (shared initial policy). Static
-    strategies rank neurons only and take the Inactive phase first by
-    convention; a policy object with a ``choose`` method (the learned agent)
-    picks both neuron and phase.
+    strategies (STATIC_STRATEGIES) rank neurons only and take the
+    Inactive phase first by convention; a policy object with a ``choose``
+    method (the learned agent) picks both neuron and phase.
     """
     u = scores.unfixed
     if not len(u):
         raise ValueError("no unfixed neuron to split on")
-
     if node.depth <= INITIAL_SPLIT_DEPTH:
-        best = np.argmax(scores.pi[u])
+        rule = _SPLIT_RULES["pseudo-impact"]
     elif hasattr(strategy, "choose"):
         return strategy.choose(net, node, scores, fctx, rng)
-    elif strategy == "soi":
-        best = np.argmax(scores.soi[u])
-    elif strategy == "polarity":
-        best = np.argmin(np.abs(scores.polarity[u]))
-    elif strategy == "pseudo-impact":
-        best = np.argmax(scores.pi[u])
-    elif strategy == "babsr":
-        best = np.argmax(scores.babsr[u])
+    elif strategy in _SPLIT_RULES:
+        rule = _SPLIT_RULES[strategy]
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
-    return SplitAction(net.relu_ids()[u[best]], Phase.INACTIVE)
+    return SplitAction(net.relu_ids()[u[rule(scores, u)]], Phase.INACTIVE)

@@ -37,8 +37,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .heuristics import PI_BETA, SplitAction, compute_scores, \
-    pseudo_impact_update, select_split, soi_total
+from .heuristics import PI_BETA, STATIC_STRATEGIES, SplitAction, \
+    compute_scores, pseudo_impact_update, select_split, soi_total
 from .model import Network, NeuronId
 from .numeric import SAT_SOI_TOL, _CONFLICT_EPS, BoundsMap, Conflict, Phase, \
     VarMap, propagate_intervals, solve_relaxation, tighten_bounds_lp
@@ -210,28 +210,20 @@ def _deduce_bounds(net: Network, query: Query, phases: np.ndarray,
 
     Raises Conflict when the node is empty.
     """
-    carry = clip
+    # settled: the last LP tightening fixed no phase, so one more
+    # propagation that fixes none ends deduction
+    carry, settled = clip, False
     while True:
         bounds = propagate_intervals(net, query.input_lower, query.input_upper,
                                      phases, clip=carry)
         _interval_output_conflict(bounds, query.constraints)
         if deduce_phases(bounds, phases):
-            carry = bounds
+            carry, settled = bounds, False
             continue
-        if not tighten:
+        if settled or not tighten:
             return bounds
-        tightened = tighten_bounds_lp(net, bounds, phases, query.constraints)
-        if deduce_phases(tightened, phases):
-            carry = tightened
-            continue
-        refreshed = propagate_intervals(net, query.input_lower,
-                                        query.input_upper, phases,
-                                        clip=tightened)
-        _interval_output_conflict(refreshed, query.constraints)
-        if deduce_phases(refreshed, phases):
-            carry = refreshed
-            continue
-        return refreshed
+        carry = tighten_bounds_lp(net, bounds, phases, query.constraints)
+        settled = not deduce_phases(carry, phases)
 
 
 def expand(net: Network, query: Query, parent: NodeState | None,
@@ -284,12 +276,16 @@ def expand(net: Network, query: Query, parent: NodeState | None,
 
 
 class FeatureContext:
-    """Run-level context the featurizer reads: network size, root bounds
+    """Run-level context the featurizer reads: network size, the
+    network-wide (pre_min, pre_max, post_min, post_max) of the root bounds
     for normalization, and the running split maximum."""
 
-    def __init__(self, total_relus: int, root_bounds: BoundsMap | None):
+    def __init__(self, total_relus: int, root_bounds: BoundsMap):
         self.total_relus = total_relus
-        self.root_bounds = root_bounds
+        self.root_scales = (float(root_bounds.pre_lower.min()),
+                            float(root_bounds.pre_upper.max()),
+                            float(root_bounds.post_lower.min()),
+                            float(root_bounds.post_upper.max()))
         self.running_max_splits = 0
 
 
@@ -308,7 +304,7 @@ class _Engine:
         self.out_direction = np.sum([c.coeffs for c in query.constraints],
                                     axis=0)
         self.pi_table = np.zeros(net.num_relus)
-        self.fctx = FeatureContext(net.num_relus, None)
+        self.fctx = None  # set once the root bounds are known
         self.iterations = 0  # also the id of the next node
         self.splits = 0
         self.t0 = time.monotonic()
@@ -377,7 +373,7 @@ class _Engine:
                 outcome = "UNSAT"
             else:
                 self._init_pi(root)
-                self.fctx.root_bounds = root.bounds
+                self.fctx = FeatureContext(self.net.num_relus, root.bounds)
                 outcome, witness = self._dfs(root)
         except _Timeout:
             outcome = "TIMEOUT"
@@ -415,11 +411,15 @@ def verify(net: Network, query: Query, strategy="babsr",
            event_log: list | None = None, collector=None) -> Verdict:
     """Decide a query by branch-and-bound under the given splitting strategy.
 
-    ``strategy`` is one of the static names ("soi", "polarity",
-    "pseudo-impact", "babsr") or a policy object with a ``choose`` method.
-    ``force_first`` overrides the first decisions (testing hook).
+    ``strategy`` is one of ``STATIC_STRATEGIES`` or a policy object with a
+    ``choose`` method; anything else raises ValueError before the search
+    starts. ``force_first`` overrides the first decisions (testing hook).
     ``event_log``, when a list, receives the event records of the run.
     """
+    if not (hasattr(strategy, "choose") or strategy in STATIC_STRATEGIES):
+        raise ValueError(f"unknown strategy {strategy!r}; expected one of "
+                         f"{', '.join(STATIC_STRATEGIES)} or a policy "
+                         f"object with a choose method")
     engine = _Engine(net, query, strategy, budget or Budget(),
                      tighten, force_first, event_log, collector)
     return engine.run()

@@ -16,6 +16,22 @@ def toy_query(toy):
     return example_property(toy)
 
 
+@pytest.fixture(scope="session")
+def trained_checkpoint(tmp_path_factory):
+    """The final checkpoint of a short training run (interval mode)."""
+    from relubab.agent import TrainerConfig, train
+    from relubab.harness import gen_random_suite
+
+    pairs = [(inst.net, inst.query) for inst in
+             gen_random_suite(seed=29, count=4, n_relus=(9, 12))]
+    config = TrainerConfig(seed=5, demo_epochs=1, demo_steps=20,
+                           finetune_epochs=1, finetune_steps=20,
+                           run_max_iterations=500, tighten=False)
+    out = tmp_path_factory.mktemp("agent")
+    result = train(config, pairs[:1], pairs[1:], checkpoint_dir=out)
+    return result.checkpoint_paths[-1]
+
+
 def gradient_check_max_error(n_configs: int = 100, seed: int = 12,
                              step: float = 1e-5) -> float:
     """Max relative error of analytic gradients vs central differences.

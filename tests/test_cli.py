@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import relubab.agent
 from relubab.cli import main
 from relubab.harness import gen_random_suite, read_records_csv
 from relubab.model import Layer, Network, emit_nnet, toy_network
@@ -80,6 +81,49 @@ def test_gen_bench_report_pipeline(tmp_path, capsys):
                  "--budget-ms", "60000", "--out", str(out)]) == 0
     assert (out / "summary.csv").exists()
     assert (out / "curve_babsr.csv").exists()
+
+
+def test_bench_rejects_unknown_strategy(tmp_path):
+    suite = tmp_path / "suite"
+    out = tmp_path / "out"
+    gen_random_suite(seed=7, count=4, out_dir=suite)
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--suite-dir", str(suite), "--strategies", "sio,babsr",
+              "--out", str(out)])
+    assert "'sio'" in str(exc.value.code)
+    assert not (out / "records.csv").exists()
+
+
+def test_bench_agent_matches_verify(tmp_path, capsys, monkeypatch,
+                                    trained_checkpoint):
+    suite = tmp_path / "suite"
+    gen_random_suite(seed=7, count=4, out_dir=suite)
+    loads = []
+    real_load = relubab.agent.load_checkpoint
+
+    def counting_load(path):
+        loads.append(path)
+        return real_load(path)
+
+    monkeypatch.setattr(relubab.agent, "load_checkpoint", counting_load)
+    out = tmp_path / "out"
+    assert main(["bench", "--suite-dir", str(suite), "--strategies",
+                 "babsr,agent", "--checkpoint", str(trained_checkpoint),
+                 "--out", str(out)]) == 0
+    assert len(loads) == 1
+    benched = {r.query_id: (r.verdict, r.iterations)
+               for r in read_records_csv(out / "records.csv")
+               if r.strategy == "agent"}
+    capsys.readouterr()
+    verified = {}
+    for net_path in sorted(suite.glob("*.nnet")):
+        assert main(["verify", "--net", str(net_path), "--prop",
+                     str(net_path.with_suffix(".prop")), "--strategy",
+                     "agent", "--checkpoint", str(trained_checkpoint)]) == 0
+        label, outcome, its = capsys.readouterr().out.split()[:3]
+        verified[label] = (outcome, int(its.split("=")[1]))
+    assert len(benched) == 4
+    assert benched == verified
 
 
 def test_robustness_manifest_flow(tmp_path, capsys):

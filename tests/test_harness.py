@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from relubab.harness import (RunRecord, SuiteConfig, aggregate,
-                             brute_force_verify, cumulative_curve,
-                             gen_random_suite, load_instance,
-                             read_records_csv, run_suite, write_records_csv)
+import relubab.harness
+from relubab.harness import (RunRecord, aggregate, brute_force_verify,
+                             cumulative_curve, gen_random_suite,
+                             load_instance, read_records_csv, run_suite,
+                             write_records_csv)
 from relubab.model import Layer, Network
 from relubab.query import OutputConstraint, Query, check_witness
 from relubab.search import Budget, verify
@@ -96,10 +97,8 @@ class TestGenRandomSuite:
 class TestRunSuite:
     def test_grid_of_records(self, tmp_path):
         instances = gen_random_suite(seed=13, count=2)
-        config = SuiteConfig(instances=instances,
-                             strategies=["babsr", "polarity", "soi"],
-                             budget=Budget(seed=1), out_dir=tmp_path)
-        records = run_suite(config)
+        records = run_suite(instances, ["babsr", "polarity", "soi"],
+                            Budget(seed=1), out_dir=tmp_path)
         assert len(records) == 6
         assert (tmp_path / "records.csv").exists()
         loaded = read_records_csv(tmp_path / "records.csv")
@@ -107,37 +106,51 @@ class TestRunSuite:
 
     def test_timeout_row(self):
         instances = gen_random_suite(seed=13, count=1)
-        config = SuiteConfig(instances=instances, strategies=["babsr"],
-                             budget=Budget(timeout_s=1e-9, seed=1))
-        (record,) = run_suite(config)
+        (record,) = run_suite(instances, ["babsr"],
+                              Budget(timeout_s=1e-9, seed=1))
         assert record.verdict == "TIMEOUT"
 
     def test_rerun_identical_modulo_wall_time(self):
         instances = gen_random_suite(seed=17, count=3)
-        config = SuiteConfig(instances=instances,
-                             strategies=["babsr", "soi"],
-                             budget=Budget(seed=2))
         rows = []
         for _ in range(2):
-            records = run_suite(config)
+            records = run_suite(instances, ["babsr", "soi"], Budget(seed=2))
             rows.append([(r.query_id, r.strategy, r.verdict, r.iterations,
                           r.splits, r.seed) for r in records])
         assert rows[0] == rows[1]
 
-    def test_parallel_matches_sequential(self):
+    def test_parallel_matches_sequential(self, trained_checkpoint):
+        # the resolved agent policy crosses the process boundary
         instances = gen_random_suite(seed=19, count=3)
         results = {}
         for workers in (1, 2):
-            config = SuiteConfig(instances=instances,
-                                 strategies=["babsr"],
-                                 budget=Budget(seed=3), workers=workers)
-            results[workers] = [(r.query_id, r.verdict, r.iterations,
-                                 r.splits) for r in run_suite(config)]
+            results[workers] = [
+                (r.query_id, r.strategy, r.verdict, r.iterations, r.splits)
+                for r in run_suite(instances, ["babsr", "agent"],
+                                   Budget(seed=3), workers=workers,
+                                   checkpoint=trained_checkpoint)]
         assert results[1] == results[2]
+        assert [r[1] for r in results[1]] == ["agent", "babsr"] * 3
+        assert all(r[2] in ("SAT", "UNSAT") for r in results[1])
 
     def test_empty_config_rejected(self):
         with pytest.raises(ValueError):
-            SuiteConfig(instances=[], strategies=["babsr"])
+            run_suite([], ["babsr"])
+        with pytest.raises(ValueError):
+            run_suite(gen_random_suite(seed=13, count=1), [])
+
+    @pytest.mark.parametrize("strategies", [["babsr", "sio"], ["agent"]],
+                             ids=["unknown-name", "agent-no-checkpoint"])
+    def test_bad_strategy_raises_before_any_job(self, strategies, tmp_path,
+                                                monkeypatch):
+        calls = []
+        monkeypatch.setattr(relubab.harness, "verify",
+                            lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(ValueError):
+            run_suite(gen_random_suite(seed=13, count=2), strategies,
+                      Budget(seed=1), out_dir=tmp_path)
+        assert calls == []
+        assert not (tmp_path / "records.csv").exists()
 
 
 def rec(query_id, strategy, verdict, ms, iters=10):

@@ -74,6 +74,15 @@ class TestVerifyToy:
             run[name] = verdict.iterations
         assert run["n1"] < run["n2"]
 
+    @pytest.mark.parametrize("strategy", ["sio", "agent", object()],
+                             ids=["misspelt", "agent-name", "no-choose"])
+    def test_unknown_strategy_rejected_before_search(self, toy, toy_query,
+                                                     strategy):
+        log = []
+        with pytest.raises(ValueError, match="unknown strategy"):
+            verify(toy, toy_query, strategy, event_log=log)
+        assert log == []
+
     def test_splits_so_far_counts_the_run(self):
         # a node records the run's split count when it is visited; after
         # backtracking that exceeds its depth (the splits on its own path)

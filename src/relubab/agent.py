@@ -11,6 +11,11 @@ delayed subtree penalties reconstructed from verification event logs.
 Gradients are computed by manual backpropagation (semi-gradient: targets are
 treated as constants), which the finite-difference tests check directly.
 
+Replay layout: ``ReplayBuffer.items`` holds the ``n_demo`` demonstrations
+first, never evicted, then the self-play ring of the remaining capacity.
+``ReplayBuffer.priority`` is one float64 array in the same order, read by
+sampling and written by priority updates.
+
 Checkpoint format v1 (text)::
 
     relubab-checkpoint v1
@@ -22,7 +27,8 @@ Checkpoint format v1 (text)::
     layer <i> bias <rows>
     <one value per line>
 
-Loading validates the feature list against the current featurizer layout.
+Loading checks the feature list against the featurizer and that the layer
+shapes chain from it to one output; any bad file raises ValueError.
 """
 
 from __future__ import annotations
@@ -83,7 +89,7 @@ def featurize(net: Network, node, scores: HeuristicScores,
     unfixed = scores.unfixed
     if not len(unfixed):
         raise ValueError("node has no unfixed neuron to featurize")
-    total = max(1, fctx.total_relus)
+    total = max(1, net.num_relus)
     globals_row = (
         len(unfixed) / total,
         node.depth / total,
@@ -247,7 +253,6 @@ class Transition:
     next_state: Optional[StateFeatures]
     terminal: bool
     is_demo: bool
-    priority: float
     neuron: Optional[NeuronId] = None
     phase: Optional[Phase] = None
     k: int = 0
@@ -312,7 +317,7 @@ def record_delayed_rewards(events: Iterable,
             reward=-actual[j] / full,
             next_state=nxt,
             terminal=(j + 1 == len(splits)),
-            is_demo=False, priority=1.0,
+            is_demo=False,
             neuron=sp.neuron, phase=sp.phase, k=sp.k,
             actual=actual[j], full=full, node_id=sp.node_id,
             depth=node_depth[sp.node_id]))
@@ -343,69 +348,75 @@ def policy_transitions(events: Iterable,
 
 
 class ReplayBuffer:
-    """Demonstration transitions are permanent; self-play entries live in a
-    ring of the remaining capacity."""
+    """Demonstrations first, never evicted, then a ring of self-play entries
+    in the remaining capacity; ``priority[i]`` belongs to ``items[i]``."""
 
     def __init__(self, capacity: int = 100_000):
         self.capacity = capacity
-        self.demo: list[Transition] = []
-        self.selfplay: list[Transition] = []
+        self.items: list[Transition] = []
+        self.n_demo = 0
+        self._store = np.empty(64)  # priority is its first len(items) slots
         self._ring_pos = 0
 
+    @property
+    def priority(self) -> np.ndarray:
+        return self._store[:len(self.items)]
+
+    def _append(self, tr: Transition, priority: float):
+        n = len(self.items)
+        if n == self._store.size:
+            self._store = np.concatenate([self._store, np.empty(n)])
+        self._store[n] = priority
+        self.items.append(tr)
+
     def add_demo(self, tr: Transition):
+        if len(self.items) > self.n_demo:
+            raise ValueError("demonstrations must be added before self-play")
         tr.is_demo = True
-        self.demo.append(tr)
+        self._append(tr, 1.0)
+        self.n_demo += 1
 
     def add_self(self, tr: Transition):
         tr.is_demo = False
-        tr.priority = max(1.0, self.max_priority())
-        ring_cap = max(1, self.capacity - len(self.demo))
-        if len(self.selfplay) < ring_cap:
-            self.selfplay.append(tr)
+        priority = max(1.0, float(self.priority.max())) if self.items else 1.0
+        ring_cap = max(1, self.capacity - self.n_demo)
+        if len(self.items) - self.n_demo < ring_cap:
+            self._append(tr, priority)
         else:
-            self.selfplay[self._ring_pos] = tr
+            slot = self.n_demo + self._ring_pos
+            self.items[slot] = tr
+            self._store[slot] = priority
             self._ring_pos = (self._ring_pos + 1) % ring_cap
 
     def __len__(self) -> int:
-        return len(self.demo) + len(self.selfplay)
-
-    def get(self, idx: int) -> Transition:
-        nd = len(self.demo)
-        return self.demo[idx] if idx < nd else self.selfplay[idx - nd]
-
-    def priorities(self) -> np.ndarray:
-        return np.array([t.priority for t in self.demo]
-                        + [t.priority for t in self.selfplay])
-
-    def max_priority(self) -> float:
-        prios = self.priorities()
-        return float(prios.max()) if prios.size else 1.0
+        return len(self.items)
 
 
 def sample_prioritized(buffer: ReplayBuffer, batch_size: int, per_alpha: float,
-                       per_beta: float, rng: np.random.Generator,
-                       demo_only: bool = False):
+                       per_beta: float, rng: np.random.Generator):
     """Indices, transitions, and normalized importance weights.
 
     Sampling probability is priority^alpha; weights are (N * P)^-beta
     scaled by their maximum. Draws are with replacement, so batch sizes
     beyond the buffer size are fine.
     """
-    n = len(buffer.demo) if demo_only else len(buffer)
+    n = len(buffer)
     if n == 0:
         raise ValueError("buffer is empty")
-    prios = buffer.priorities()[:n] ** per_alpha
+    prios = buffer.priority ** per_alpha
     probs = prios / prios.sum()
     idx = rng.choice(n, size=batch_size, replace=True, p=probs)
     weights = (n * probs[idx]) ** (-per_beta)
     weights = weights / weights.max()
-    return idx, [buffer.get(int(i)) for i in idx], weights
+    return idx, [buffer.items[i] for i in idx], weights
 
 
 def update_priorities(buffer: ReplayBuffer, indices, td_errors,
                       per_eps: float):
+    # an ordered loop: when a batch repeats an index, its last write wins
+    priority = buffer.priority
     for i, td in zip(indices, td_errors):
-        buffer.get(int(i)).priority = abs(float(td)) + per_eps
+        priority[int(i)] = abs(float(td)) + per_eps
 
 
 # ---------------------------------------------------------------------------
@@ -603,12 +614,10 @@ def generate_demonstrations(instances: Sequence[tuple[Network, Query]],
 @dataclass
 class TrainResult:
     qnet: QNet
-    config: TrainerConfig
     loss_trace: list[float]
     checkpoint_paths: list[Path]
     demo_transitions: int
     episodes: int
-    split_steps: int
 
 
 def train(config: TrainerConfig,
@@ -643,7 +652,6 @@ def train(config: TrainerConfig,
         ckpt_dir.mkdir(parents=True, exist_ok=True)
     checkpoint_paths: list[Path] = []
     loss_trace: list[float] = []
-    step = 0
     total_p2 = config.finetune_epochs * config.finetune_steps
 
     def save(tag: str):
@@ -653,23 +661,20 @@ def train(config: TrainerConfig,
         save_checkpoint(path, qnet, config)
         checkpoint_paths.append(path)
 
-    def gradient_step(lam: float, beta: float, demo_only: bool):
-        nonlocal step, target
+    def gradient_step(lam: float, beta: float):
+        nonlocal target
         idx, batch, weights = sample_prioritized(
-            buffer, config.batch_size, config.per_alpha, beta, rng,
-            demo_only=demo_only)
+            buffer, config.batch_size, config.per_alpha, beta, rng)
         loss, tds = train_step(qnet, target, batch, weights, lam, config)
         update_priorities(buffer, idx, tds, config.per_eps)
         loss_trace.append(loss)
-        step += 1
-        if step % config.target_sync == 0:
+        if len(loss_trace) % config.target_sync == 0:
             target = qnet.copy()
 
     # phase 1: demonstrations only
     for epoch in range(config.demo_epochs):
         for _ in range(config.demo_steps):
-            gradient_step(config.lambda_start, config.per_beta_start,
-                          demo_only=True)
+            gradient_step(config.lambda_start, config.per_beta_start)
         save(f"demo{epoch:03d}")
 
     # phase 2: self-play fine-tuning, one gradient step per splitting step;
@@ -704,7 +709,7 @@ def train(config: TrainerConfig,
                 lam = config.lambda_start * (1.0 - frac)
                 beta = config.per_beta_start + frac * (
                     config.per_beta_end - config.per_beta_start)
-                gradient_step(lam, beta, demo_only=False)
+                gradient_step(lam, beta)
                 p2 += 1
                 progressed = True
                 if p2 >= epoch_mark:
@@ -715,10 +720,8 @@ def train(config: TrainerConfig,
                 "no split action produced by a full pass over the "
                 "training queries; cannot reach the step budget")
     save("final")
-    return TrainResult(qnet=qnet, config=config, loss_trace=loss_trace,
-                       checkpoint_paths=checkpoint_paths,
-                       demo_transitions=len(demo_transitions),
-                       episodes=episodes, split_steps=p2)
+    return TrainResult(qnet, loss_trace, checkpoint_paths,
+                       len(demo_transitions), episodes)
 
 
 # ---------------------------------------------------------------------------
@@ -747,55 +750,55 @@ def save_checkpoint(path: str | Path, qnet: QNet, config: TrainerConfig):
 
 
 def load_checkpoint(path: str | Path) -> tuple[QNet, TrainerConfig]:
-    lines = Path(path).read_text().splitlines()
+    """A v1 checkpoint's network and config; ValueError names a bad file."""
+    try:
+        return _parse_checkpoint(Path(path).read_text().splitlines())
+    except (IndexError, ValueError) as err:  # IndexError: missing line
+        raise ValueError(f"{path}: truncated or malformed checkpoint "
+                         f"({err})") from None
+
+
+def _parse_checkpoint(lines: list[str]) -> tuple[QNet, TrainerConfig]:
     if not lines or lines[0].strip() != "relubab-checkpoint v1":
-        raise ValueError(f"{path}: not a v1 checkpoint")
+        raise ValueError("not a v1 checkpoint")
     feats = tuple(lines[1].split(" ", 1)[1].split(","))
     if feats != FEATURE_NAMES:
         raise ValueError(
-            f"{path}: feature layout {feats} does not match the current "
+            f"feature layout {feats} does not match the current "
             f"featurizer {FEATURE_NAMES}")
     cfg_kv = dict(item.split("=", 1) for item in lines[3].split(" ")[1:])
-    defaults = TrainerConfig()
     kwargs = {}
     for f in fields(TrainerConfig):
         raw = cfg_kv.get(f.name)
         if raw is None:
             continue
-        default = getattr(defaults, f.name)
         if f.name == "hidden":
             kwargs[f.name] = tuple(int(x) for x in raw.split("/"))
-        elif isinstance(default, bool):
+        elif isinstance(f.default, bool):
             kwargs[f.name] = raw == "True"
-        elif isinstance(default, int):
-            kwargs[f.name] = int(float(raw))
-        else:
-            kwargs[f.name] = float(raw)
+        else:  # int or float
+            kwargs[f.name] = type(f.default)(float(raw))
     config = TrainerConfig(**kwargs)
     weights, biases = [], []
+    blocks = {"weight": weights, "bias": biases}
     i = 4
     while i < len(lines):
         header = lines[i].split()
-        if not header or header[0] != "layer":
-            raise ValueError(f"{path}: unexpected line {lines[i]!r}")
-        if header[2] == "weight":
-            rows, cols = int(header[3]), int(header[4])
-            block = [np.array([float(t) for t in lines[i + 1 + r].split(",")])
-                     for r in range(rows)]
-            mat = np.vstack(block)
-            if mat.shape != (rows, cols):
-                raise ValueError(f"{path}: weight block shape mismatch")
-            weights.append(mat)
-            i += 1 + rows
-        elif header[2] == "bias":
-            rows = int(header[3])
-            biases.append(np.array([float(lines[i + 1 + r])
-                                    for r in range(rows)]))
-            i += 1 + rows
-        else:
-            raise ValueError(f"{path}: unexpected block {header[2]!r}")
-    qnet = QNet(weights, biases)
-    if qnet.input_width != len(FEATURE_NAMES):
-        raise ValueError(f"{path}: network input width {qnet.input_width} "
-                         f"does not match the featurizer")
-    return qnet, config
+        if header[0] != "layer" or header[2] not in blocks:
+            raise ValueError(f"unexpected line {lines[i]!r}")
+        shape = tuple(int(t) for t in header[3:])
+        body = lines[i + 1:i + 1 + shape[0]]
+        block = np.array([[float(t) for t in ln.split(",")] for ln in body])
+        if block.shape != (shape + (1,))[:2]:  # a bias line holds one value
+            raise ValueError(f"layer {header[1]} {header[2]} block is not "
+                             f"of shape {shape}")
+        blocks[header[2]].append(block.reshape(shape))
+        i += 1 + shape[0]
+    widths = [len(FEATURE_NAMES)] + [w.shape[0] for w in weights]
+    if ([w.shape for w in weights] != list(zip(widths[1:], widths[:-1]))
+            or [b.shape for b in biases] != [(d,) for d in widths[1:]]
+            or widths[-1] != 1):
+        raise ValueError(f"layer shapes {[w.shape for w in weights]} and "
+                         f"{[b.shape for b in biases]} do not chain from "
+                         f"{widths[0]} features to one output")
+    return QNet(weights, biases), config

@@ -276,12 +276,11 @@ def expand(net: Network, query: Query, parent: NodeState | None,
 
 
 class FeatureContext:
-    """Run-level context the featurizer reads: network size, the
-    network-wide (pre_min, pre_max, post_min, post_max) of the root bounds
-    for normalization, and the running split maximum."""
+    """Run-level context the featurizer reads: the network-wide
+    (pre_min, pre_max, post_min, post_max) of the root bounds for
+    normalization, and the running split maximum."""
 
-    def __init__(self, total_relus: int, root_bounds: BoundsMap):
-        self.total_relus = total_relus
+    def __init__(self, root_bounds: BoundsMap):
         self.root_scales = (float(root_bounds.pre_lower.min()),
                             float(root_bounds.pre_upper.max()),
                             float(root_bounds.post_lower.min()),
@@ -373,7 +372,7 @@ class _Engine:
                 outcome = "UNSAT"
             else:
                 self._init_pi(root)
-                self.fctx = FeatureContext(self.net.num_relus, root.bounds)
+                self.fctx = FeatureContext(root.bounds)
                 outcome, witness = self._dfs(root)
         except _Timeout:
             outcome = "TIMEOUT"

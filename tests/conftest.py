@@ -65,7 +65,7 @@ def gradient_check_max_error(n_configs: int = 100, seed: int = 12,
                 reward=float(-rng.uniform(0, 1)),
                 next_state=random_state(int(rng.integers(2, 5))),
                 terminal=bool(rng.random() < 0.3),
-                is_demo=bool(rng.random() < 0.5), priority=1.0))
+                is_demo=bool(rng.random() < 0.5)))
         return batch
 
     def smooth(qnet, batch, gap=1e-2):

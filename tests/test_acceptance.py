@@ -297,7 +297,7 @@ def test_criterion_6_targets_margin_and_freeze():
                                 matrix=matrix)
         batch.append(Transition(state=state_i, action=int(rng.integers(n)),
                                 reward=-0.5, next_state=None, terminal=True,
-                                is_demo=True, priority=1.0))
+                                is_demo=True))
     for _ in range(25):
         train_step(qnet, target, batch, np.ones(4), 0.5, config)
     checks.append(q_forward(target, probe).tobytes() == before)

@@ -1,5 +1,9 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relubab.agent import (FEATURE_NAMES, INPUT_WIDTH, AgentPolicy, QNet,
                            ReplayBuffer, TrainerConfig, TrajectoryCollector,
@@ -24,7 +28,7 @@ N2 = NeuronId(0, 1)
 def toy_root_features(toy, toy_query):
     from relubab.heuristics import compute_scores
     root = expand(toy, toy_query, None, None, tighten=True)
-    fctx = FeatureContext(toy.num_relus, root.bounds)
+    fctx = FeatureContext(root.bounds)
     scores = compute_scores(toy, root, np.array([1.0]), np.array([1.0, 0.75]))
     return featurize(toy, root, scores, fctx), root, fctx
 
@@ -56,7 +60,7 @@ class TestFeaturize:
         root = expand(toy, toy_query, None, None, tighten=True)
         child = expand(toy, toy_query, root, SplitAction(N1, Phase.ACTIVE),
                        tighten=True)
-        fctx = FeatureContext(toy.num_relus, root.bounds)
+        fctx = FeatureContext(root.bounds)
         fctx.running_max_splits = 1
         scores = compute_scores(toy, child, np.array([1.0]),
                                 np.array([1.0, 0.75]))
@@ -73,7 +77,7 @@ class TestFeaturize:
     def test_no_unfixed_rejected(self, toy, toy_query):
         from relubab.heuristics import HeuristicScores
         root = expand(toy, toy_query, None, None, tighten=True)
-        fctx = FeatureContext(toy.num_relus, root.bounds)
+        fctx = FeatureContext(root.bounds)
         empty = HeuristicScores(unfixed=np.array([], dtype=int),
                                 soi=np.zeros(2), polarity=np.zeros(2),
                                 babsr=np.zeros(2), pi=np.zeros(2))
@@ -295,15 +299,80 @@ class TestDelayedRewards:
             record_delayed_rewards(events)
 
 
+def _transition(reward=-0.5, is_demo=True):
+    return Transition(state=None, action=0, reward=reward, next_state=None,
+                      terminal=True, is_demo=is_demo)
+
+
+class _ListReplay:
+    """Reference replay buffer: the list-based layout the array buffer
+    replaced, with priorities held beside each entry and rebuilt into an
+    array on every read."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.demo, self.selfplay = [], []
+        self._ring_pos = 0
+
+    def add_demo(self, tr):
+        tr.is_demo = True
+        self.demo.append([tr, 1.0])
+
+    def add_self(self, tr):
+        tr.is_demo = False
+        entry = [tr, max(1.0, self.max_priority())]
+        ring_cap = max(1, self.capacity - len(self.demo))
+        if len(self.selfplay) < ring_cap:
+            self.selfplay.append(entry)
+        else:
+            self.selfplay[self._ring_pos] = entry
+            self._ring_pos = (self._ring_pos + 1) % ring_cap
+
+    def __len__(self):
+        return len(self.demo) + len(self.selfplay)
+
+    def get(self, idx):
+        nd = len(self.demo)
+        return self.demo[idx] if idx < nd else self.selfplay[idx - nd]
+
+    def priorities(self):
+        return np.array([e[1] for e in self.demo]
+                        + [e[1] for e in self.selfplay])
+
+    def max_priority(self):
+        prios = self.priorities()
+        return float(prios.max()) if prios.size else 1.0
+
+    def sample(self, batch_size, per_alpha, per_beta, rng):
+        n = len(self)
+        if n == 0:
+            raise ValueError("buffer is empty")
+        prios = self.priorities()[:n] ** per_alpha
+        probs = prios / prios.sum()
+        idx = rng.choice(n, size=batch_size, replace=True, p=probs)
+        weights = (n * probs[idx]) ** (-per_beta)
+        weights = weights / weights.max()
+        return idx, [self.get(int(i))[0] for i in idx], weights
+
+    def update(self, indices, td_errors, per_eps):
+        for i, td in zip(indices, td_errors):
+            self.get(int(i))[1] = abs(float(td)) + per_eps
+
+
+_replay_ops = st.lists(st.one_of(
+    st.just(("demo",)), st.just(("self",)),
+    st.tuples(st.just("sample"), st.integers(0, 2 ** 32 - 1),
+              st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+              st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=8))),
+    max_size=40)
+
+
 class TestPrioritizedReplay:
     def _buffer(self, priorities):
         buf = ReplayBuffer()
-        for p in priorities:
-            tr = Transition(state=None, action=0, reward=-0.5,
-                            next_state=None, terminal=True, is_demo=True,
-                            priority=1.0)
-            buf.add_demo(tr)
-            tr.priority = p
+        for _ in priorities:
+            buf.add_demo(_transition())
+        buf.priority[:] = priorities
         return buf
 
     def test_equal_priorities_uniform(self):
@@ -347,16 +416,55 @@ class TestPrioritizedReplay:
     def test_priority_update(self):
         buf = self._buffer([1.0, 1.0])
         update_priorities(buf, [0], [0.25], 1e-3)
-        assert buf.get(0).priority == pytest.approx(0.251)
+        assert buf.priority[0] == pytest.approx(0.251)
 
     def test_demos_never_evicted(self):
         buf = ReplayBuffer(capacity=6)
-        for _ in range(3):
-            buf.add_demo(Transition(None, 0, -0.5, None, True, True, 1.0))
+        demos = [_transition() for _ in range(3)]
+        for tr in demos:
+            buf.add_demo(tr)
         for _ in range(50):
-            buf.add_self(Transition(None, 0, -0.5, None, True, False, 1.0))
-        assert len(buf.demo) == 3
-        assert len(buf.selfplay) == 3  # ring capped at capacity - demos
+            buf.add_self(_transition(is_demo=False))
+        assert buf.n_demo == 3
+        assert buf.items[:3] == demos
+        assert len(buf) - buf.n_demo == 3  # ring capped at capacity - demos
+
+    def test_demo_after_selfplay_rejected(self):
+        buf = ReplayBuffer(capacity=6)
+        buf.add_demo(_transition())
+        buf.add_self(_transition(is_demo=False))
+        with pytest.raises(ValueError):
+            buf.add_demo(_transition())
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6), _replay_ops)
+    def test_matches_list_reference(self, capacity, ops):
+        buf, ref = ReplayBuffer(capacity), _ListReplay(capacity)
+        for j, op in enumerate(ops):
+            if op[0] == "demo" and len(buf) > buf.n_demo:
+                with pytest.raises(ValueError):
+                    buf.add_demo(_transition(reward=-j))
+            elif op[0] in ("demo", "self"):
+                tr = _transition(reward=-j)
+                getattr(buf, "add_" + op[0])(tr)
+                getattr(ref, "add_" + op[0])(tr)
+            elif len(buf) == 0:
+                with pytest.raises(ValueError):
+                    sample_prioritized(buf, 1, 0.6, 0.4,
+                                       np.random.default_rng(0))
+            else:
+                _, seed, alpha, beta, tds = op
+                got = sample_prioritized(buf, len(tds), alpha, beta,
+                                         np.random.default_rng(seed))
+                want = ref.sample(len(tds), alpha, beta,
+                                  np.random.default_rng(seed))
+                np.testing.assert_array_equal(got[0], want[0])
+                assert all(a is b for a, b in zip(got[1], want[1]))
+                assert got[2].tobytes() == want[2].tobytes()
+                update_priorities(buf, got[0], tds, 1e-3)
+                ref.update(want[0], tds, 1e-3)
+            assert buf.items == [e[0] for e in ref.demo + ref.selfplay]
+            assert buf.priority.tobytes() == ref.priorities().tobytes()
 
 
 def make_batch(rng, size, demo_fraction=0.5):
@@ -369,7 +477,7 @@ def make_batch(rng, size, demo_fraction=0.5):
             state=state, action=int(rng.integers(n)),
             reward=float(-rng.uniform(0, 1)), next_state=nxt,
             terminal=bool(rng.random() < 0.3),
-            is_demo=bool(rng.random() < demo_fraction), priority=1.0))
+            is_demo=bool(rng.random() < demo_fraction)))
     return batch
 
 
@@ -393,8 +501,7 @@ class TestTrainStep:
         a = int(np.argmax(q))
         # reward equal to the current value of a terminal transition: td = 0
         batch = [Transition(state=state, action=a, reward=float(q[a]),
-                            next_state=None, terminal=True, is_demo=True,
-                            priority=1.0)]
+                            next_state=None, terminal=True, is_demo=True)]
         dominant = q[a] - np.max(np.delete(q, a))
         margin = max(1e-6, float(dominant) / 2)  # expert dominant by > m
         before = qnet.flatten()
@@ -471,6 +578,19 @@ class TestDemonstrationsAndTraining:
         for w1, w2 in zip(r1.qnet.weights, r2.qnet.weights):
             np.testing.assert_array_equal(w1, w2)
 
+    def test_training_leaves_demonstrations_unchanged(self):
+        # replay priorities live in the buffer, so a demonstration list can
+        # seed any number of identical runs
+        insts = gen_random_suite(seed=41, count=4, n_relus=(9, 12))
+        pairs = [(i.net, i.query) for i in insts]
+        demos, _ = generate_demonstrations(pairs, tighten=False,
+                                           expert="babsr")
+        config = TrainerConfig(demo_epochs=1, demo_steps=60,
+                               finetune_epochs=0, hidden=(8,), seed=4)
+        r1 = train(config, [], [], demo_transitions=demos)
+        r2 = train(config, [], [], demo_transitions=demos)
+        assert r1.loss_trace == r2.loss_trace
+
     def test_imitation_smoke(self):
         # after demo-only training, the greedy policy should usually agree
         # with the demonstrating expert on the demo states themselves
@@ -508,6 +628,28 @@ class TestCheckpoint:
         path.write_text(text)
         with pytest.raises(ValueError):
             load_checkpoint(path)
+
+    def test_truncated_file_rejected(self, tmp_path):
+        path = tmp_path / "ck.txt"
+        save_checkpoint(path, QNet.create(np.random.default_rng(18),
+                                          hidden=(3, 2)), TrainerConfig())
+        lines = path.read_text().splitlines(keepends=True)
+        for cut in range(len(lines)):
+            path.write_text("".join(lines[:cut]))
+            with pytest.raises(ValueError, match=re.escape(str(path))):
+                load_checkpoint(path)
+
+    def test_layer_shapes_must_chain(self, tmp_path):
+        rng = np.random.default_rng(19)
+        good = QNet.create(rng, hidden=(3,))
+        path = tmp_path / "ck.txt"
+        for weights, biases in (
+                ([good.weights[0], rng.normal(size=(1, 4))], good.biases),
+                (good.weights, [good.biases[0], np.zeros(2)]),
+                ([good.weights[0]], [good.biases[0]])):
+            save_checkpoint(path, QNet(weights, biases), TrainerConfig())
+            with pytest.raises(ValueError, match=re.escape(str(path))):
+                load_checkpoint(path)
 
     def test_policy_verifies(self, toy, toy_query, tmp_path):
         rng = np.random.default_rng(17)

@@ -94,6 +94,19 @@ def test_bench_rejects_unknown_strategy(tmp_path):
     assert not (out / "records.csv").exists()
 
 
+def test_verify_rejects_truncated_checkpoint(toy_files, tmp_path):
+    net, prop = toy_files
+    ckpt = tmp_path / "ck.txt"
+    relubab.agent.save_checkpoint(
+        ckpt, relubab.agent.QNet.create(np.random.default_rng(0)),
+        relubab.agent.TrainerConfig())
+    ckpt.write_text("".join(ckpt.read_text().splitlines(True)[:6]))
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--net", str(net), "--prop", str(prop),
+              "--strategy", "agent", "--checkpoint", str(ckpt)])
+    assert str(ckpt) in str(exc.value.code)
+
+
 def test_bench_agent_matches_verify(tmp_path, capsys, monkeypatch,
                                     trained_checkpoint):
     suite = tmp_path / "suite"

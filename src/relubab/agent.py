@@ -11,6 +11,23 @@ delayed subtree penalties reconstructed from verification event logs.
 Gradients are computed by manual backpropagation (semi-gradient: targets are
 treated as constants), which the finite-difference tests check directly.
 
+Batch layout: a gradient step scores its batch as stacks of rows, not
+transition by transition. ``compute_gradients`` stacks every transition's
+``state.matrix`` into one matrix; ``offsets[i]:offsets[i + 1]`` are the rows
+of transition i, and row ``offsets[i] + action`` is the action taken.
+``prepare_targets`` stacks the ``next_state`` matrices of the non-terminal
+transitions the same way. A step therefore runs at most three forward passes
+(online on next states, target on next states, online on states) and one
+backward pass over d(loss)/dq scattered into one vector. Each argmax is
+taken within its segment and, as ``np.argmax`` does, a tie goes to the
+segment's lowest row. ``double_dqn_target``, ``margin_loss`` and
+``loss_given_targets`` keep the per-transition definitions that the stacked
+step is tested against.
+BLAS may round a row of a stacked product differently from the same row
+scored alone, so the loss trace depends in its last bits on this layout;
+the trace, and with it the trained weights, drift from those of a
+per-transition loop over many steps.
+
 Replay layout: ``ReplayBuffer.items`` holds the ``n_demo`` demonstrations
 first, never evicted, then the self-play ring of the remaining capacity.
 ``ReplayBuffer.priority`` is one float64 array in the same order, read by
@@ -27,13 +44,17 @@ Checkpoint format v1 (text)::
     layer <i> bias <rows>
     <one value per line>
 
-Loading checks the feature list against the featurizer and that the layer
-shapes chain from it to one output; any bad file raises ValueError.
+Loading checks the feature list against the featurizer, that the layer
+shapes chain from it to one output, and that the ``hidden`` line names the
+blocks' hidden widths; any bad file raises ValueError. The loaded config's
+``hidden`` is the blocks' widths, whatever the config line says.
 """
 
 from __future__ import annotations
 
+import logging
 import math
+from collections import Counter
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -57,6 +78,9 @@ FEATURE_NAMES = LOCAL_FEATURE_NAMES + GLOBAL_FEATURE_NAMES + ("phase_bit",)
 INPUT_WIDTH = len(FEATURE_NAMES)
 
 _PHASE_ORDER = (Phase.ACTIVE, Phase.INACTIVE)  # candidate sort within neuron
+
+# one INFO line per training epoch; silent unless a caller adds a handler
+_train_log = logging.getLogger("relubab.train")
 
 
 @dataclass(frozen=True)
@@ -469,13 +493,38 @@ class TrainerConfig:
                 + self.finetune_epochs * self.finetune_steps)
 
 
+def _stack(states: Sequence[StateFeatures]) -> tuple[np.ndarray, np.ndarray]:
+    """All candidate rows of ``states`` in one matrix, and the offsets that
+    bound each state's segment: rows offsets[i]:offsets[i + 1] are
+    states[i]."""
+    offsets = np.zeros(len(states) + 1, dtype=np.intp)
+    np.cumsum([len(s.matrix) for s in states], out=offsets[1:])
+    return np.concatenate([s.matrix for s in states]), offsets
+
+
+def _segment_argmax(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """np.argmax within each segment, as indices into ``values``: the first
+    maximum of the segment, or its first NaN."""
+    starts = offsets[:-1]
+    top = np.maximum.reduceat(values, starts)
+    hit = (values == np.repeat(top, np.diff(offsets))) | np.isnan(values)
+    rows = np.where(hit, np.arange(len(values)), len(values))
+    return np.minimum.reduceat(rows, starts)
+
+
 def prepare_targets(qnet: QNet, target_qnet: QNet,
                     batch: Sequence[Transition], gamma: float) -> np.ndarray:
     """Double-DQN targets for a batch, computed up front and then treated
-    as constants by the loss (semi-gradient)."""
-    return np.array([
-        double_dqn_target(t.reward, t.next_state, t.terminal, qnet,
-                          target_qnet, gamma) for t in batch])
+    as constants by the loss (semi-gradient). Equal to double_dqn_target
+    per transition; the next states are scored as one stack."""
+    targets = np.array([t.reward for t in batch], dtype=float)
+    live = [i for i, t in enumerate(batch)
+            if not t.terminal and t.next_state is not None]
+    if live:
+        rows, offsets = _stack([batch[i].next_state for i in live])
+        best = _segment_argmax(qnet.forward(rows)[0], offsets)
+        targets[live] += gamma * target_qnet.forward(rows)[0][best]
+    return targets
 
 
 def loss_given_targets(qnet: QNet, batch: Sequence[Transition],
@@ -496,28 +545,33 @@ def compute_gradients(qnet: QNet, batch: Sequence[Transition],
                       margin: float):
     """Loss, parameter gradients, and per-sample TD errors for a batch with
     fixed targets. The analytic gradients here are what the
-    finite-difference oracle checks against loss_given_targets."""
-    grads = qnet.zero_gradients()
-    total = 0.0
-    tds = np.zeros(len(batch))
-    for i, (t, tgt, w) in enumerate(zip(batch, targets, weights)):
-        q, cache = qnet.forward(t.state.matrix)
-        td = q[t.action] - tgt
-        tds[i] = td
-        total += w * td * td
-        dq = np.zeros(len(q))
-        dq[t.action] += 2.0 * w * td
-        if lam > 0.0 and t.is_demo:
-            aug = q + margin * (np.arange(len(q)) != t.action)
-            star = int(np.argmax(aug))
-            total += lam * (aug[star] - q[t.action])
-            if star != t.action:
-                dq[star] += lam
-                dq[t.action] -= lam
-        for acc, g in zip(grads, qnet.backward(cache, dq)):
-            acc[0][...] += g[0]
-            acc[1][...] += g[1]
-    return float(total), grads, tds
+    finite-difference oracle checks against loss_given_targets.
+
+    One forward pass scores the stacked states, d(loss)/dq is scattered
+    into one vector over the stacked rows, and one backward pass turns it
+    into gradients."""
+    rows, offsets = _stack([t.state for t in batch])
+    actions = np.array([t.action for t in batch], dtype=np.intp)
+    if np.any((actions < 0) | (actions >= np.diff(offsets))):
+        raise ValueError(f"action indices {actions} out of their states' "
+                         f"ranges {np.diff(offsets)}")
+    taken = offsets[:-1] + actions
+    q, cache = qnet.forward(rows)
+    weights = np.asarray(weights, dtype=float)
+    tds = q[taken] - targets
+    total = float(np.sum(weights * tds * tds))
+    dq = np.zeros(len(q))
+    dq[taken] = 2.0 * weights * tds
+    demo = np.array([t.is_demo for t in batch], dtype=bool)
+    if lam > 0.0 and demo.any():
+        aug = q + margin
+        aug[taken] = q[taken]
+        star = _segment_argmax(aug, offsets)[demo]
+        total += lam * float(np.sum(aug[star] - q[taken[demo]]))
+        off = star != taken[demo]
+        dq[star[off]] += lam
+        dq[taken[demo][off]] -= lam
+    return total, qnet.backward(cache, dq), tds
 
 
 def train_step(qnet: QNet, target_qnet: QNet, batch: Sequence[Transition],
@@ -630,6 +684,11 @@ def train(config: TrainerConfig,
 
     ``demo_transitions`` may supply pre-generated expert transitions; by
     default they are produced from demo_instances with the static experts.
+
+    At the end of every epoch, one line goes to the ``relubab.train``
+    logger at INFO: the epoch's mean loss, the lambda and beta of its last
+    step, the epsilon of the latest self-play episode, the buffer size, and
+    the episode count with its SAT, UNSAT and TIMEOUT outcomes so far.
     """
     rng = np.random.default_rng(config.seed)
     if demo_transitions is None:
@@ -653,6 +712,9 @@ def train(config: TrainerConfig,
     checkpoint_paths: list[Path] = []
     loss_trace: list[float] = []
     total_p2 = config.finetune_epochs * config.finetune_steps
+    episodes = 0
+    outcomes: Counter[str] = Counter()
+    epoch_start = 0
 
     def save(tag: str):
         if ckpt_dir is None:
@@ -660,6 +722,19 @@ def train(config: TrainerConfig,
         path = ckpt_dir / f"checkpoint_{tag}.txt"
         save_checkpoint(path, qnet, config)
         checkpoint_paths.append(path)
+
+    def end_epoch(phase: str, epoch: int, lam: float, beta: float, tag: str):
+        nonlocal epoch_start
+        losses = loss_trace[epoch_start:]
+        epoch_start = len(loss_trace)
+        _train_log.info(
+            "phase=%s epoch=%d steps=%d loss=%.6g lambda=%.6g beta=%.6g "
+            "epsilon=%.6g buffer=%d episodes=%d sat=%d unsat=%d timeout=%d",
+            phase, epoch, len(loss_trace),
+            sum(losses) / len(losses) if losses else math.nan, lam, beta,
+            config.epsilon(max(episodes - 1, 0)), len(buffer), episodes,
+            outcomes["SAT"], outcomes["UNSAT"], outcomes["TIMEOUT"])
+        save(tag)
 
     def gradient_step(lam: float, beta: float):
         nonlocal target
@@ -675,11 +750,11 @@ def train(config: TrainerConfig,
     for epoch in range(config.demo_epochs):
         for _ in range(config.demo_steps):
             gradient_step(config.lambda_start, config.per_beta_start)
-        save(f"demo{epoch:03d}")
+        end_epoch("pretrain", epoch, config.lambda_start,
+                  config.per_beta_start, f"demo{epoch:03d}")
 
     # phase 2: self-play fine-tuning, one gradient step per splitting step;
     # only the policy-controlled transitions enter the buffer
-    episodes = 0
     p2 = 0
     epoch_mark = config.finetune_steps
     while p2 < total_p2 and train_instances:
@@ -700,6 +775,7 @@ def train(config: TrainerConfig,
                              tighten=config.tighten,
                              event_log=log, collector=collector)
             episodes += 1
+            outcomes[verdict.outcome] += 1
             for tr in policy_transitions(log, collector.steps):
                 buffer.add_self(tr)
             for _ in range(verdict.splits):
@@ -713,7 +789,8 @@ def train(config: TrainerConfig,
                 p2 += 1
                 progressed = True
                 if p2 >= epoch_mark:
-                    save(f"ft{(p2 // config.finetune_steps) - 1:03d}")
+                    epoch = p2 // config.finetune_steps - 1
+                    end_epoch("finetune", epoch, lam, beta, f"ft{epoch:03d}")
                     epoch_mark += config.finetune_steps
         if not progressed:
             raise RuntimeError(
@@ -766,19 +843,20 @@ def _parse_checkpoint(lines: list[str]) -> tuple[QNet, TrainerConfig]:
         raise ValueError(
             f"feature layout {feats} does not match the current "
             f"featurizer {FEATURE_NAMES}")
+    key, _, raw_hidden = lines[2].partition(" ")
+    if key != "hidden":
+        raise ValueError(f"expected a hidden line, got {lines[2]!r}")
+    header_hidden = tuple(int(x) for x in raw_hidden.split(",") if x)
     cfg_kv = dict(item.split("=", 1) for item in lines[3].split(" ")[1:])
     kwargs = {}
     for f in fields(TrainerConfig):
         raw = cfg_kv.get(f.name)
-        if raw is None:
+        if raw is None or f.name == "hidden":  # hidden: from the blocks
             continue
-        if f.name == "hidden":
-            kwargs[f.name] = tuple(int(x) for x in raw.split("/"))
-        elif isinstance(f.default, bool):
+        if isinstance(f.default, bool):
             kwargs[f.name] = raw == "True"
         else:  # int or float
             kwargs[f.name] = type(f.default)(float(raw))
-    config = TrainerConfig(**kwargs)
     weights, biases = [], []
     blocks = {"weight": weights, "bias": biases}
     i = 4
@@ -801,4 +879,8 @@ def _parse_checkpoint(lines: list[str]) -> tuple[QNet, TrainerConfig]:
         raise ValueError(f"layer shapes {[w.shape for w in weights]} and "
                          f"{[b.shape for b in biases]} do not chain from "
                          f"{widths[0]} features to one output")
-    return QNet(weights, biases), config
+    qnet = QNet(weights, biases)
+    if header_hidden != qnet.hidden:
+        raise ValueError(f"hidden line {header_hidden} does not match the "
+                         f"layer widths {qnet.hidden}")
+    return qnet, TrainerConfig(**kwargs, hidden=qnet.hidden)

@@ -7,6 +7,7 @@ oracle (brute force), report (aggregate + curve data), gen (random suite).
 from __future__ import annotations
 
 import argparse
+import logging
 import sys
 from pathlib import Path
 
@@ -155,8 +156,18 @@ def cmd_train(args) -> int:
         finetune_steps=args.finetune_steps,
         run_timeout_s=args.timeout_s, run_max_iterations=args.max_iterations,
         tighten=not args.no_tighten)
-    result = train(config, pairs[:n_demo], pairs[n_demo:],
-                   checkpoint_dir=args.out)
+    # the trainer's per-epoch progress lines go to stdout for this command
+    progress = logging.getLogger("relubab.train")
+    handler = logging.StreamHandler(sys.stdout)
+    level = progress.level
+    progress.addHandler(handler)
+    progress.setLevel(logging.INFO)
+    try:
+        result = train(config, pairs[:n_demo], pairs[n_demo:],
+                       checkpoint_dir=args.out)
+    finally:
+        progress.removeHandler(handler)
+        progress.setLevel(level)
     print(f"trained: {len(result.loss_trace)} gradient steps, "
           f"{result.episodes} self-play episodes, "
           f"{result.demo_transitions} demo transitions")

@@ -523,6 +523,173 @@ class TestTrainStep:
             train_step(qnet, qnet.copy(), batch, np.ones(2), 0.5, config)
 
 
+def reference_targets(qnet, target_qnet, batch, gamma):
+    """prepare_targets as a per-transition loop: the reference for the
+    stacked version."""
+    return np.array([
+        double_dqn_target(t.reward, t.next_state, t.terminal, qnet,
+                          target_qnet, gamma) for t in batch])
+
+
+def reference_gradients(qnet, batch, targets, weights, lam, margin):
+    """compute_gradients as a per-transition loop, one forward and one
+    backward pass per transition: the reference for the stacked version."""
+    grads = qnet.zero_gradients()
+    total = 0.0
+    tds = np.zeros(len(batch))
+    for i, (t, tgt, w) in enumerate(zip(batch, targets, weights)):
+        q, cache = qnet.forward(t.state.matrix)
+        td = q[t.action] - tgt
+        tds[i] = td
+        total += w * td * td
+        dq = np.zeros(len(q))
+        dq[t.action] += 2.0 * w * td
+        if lam > 0.0 and t.is_demo:
+            aug = q + margin * (np.arange(len(q)) != t.action)
+            star = int(np.argmax(aug))
+            total += lam * (aug[star] - q[t.action])
+            if star != t.action:
+                dq[star] += lam
+                dq[t.action] -= lam
+        for acc, g in zip(grads, qnet.backward(cache, dq)):
+            acc[0][...] += g[0]
+            acc[1][...] += g[1]
+    return float(total), grads, tds
+
+
+class _CountingQNet(QNet):
+    def __init__(self, weights, biases):
+        super().__init__(weights, biases)
+        self.forwards = self.backwards = 0
+
+    def forward(self, x):
+        self.forwards += 1
+        return super().forward(x)
+
+    def backward(self, cache, dout):
+        self.backwards += 1
+        return super().backward(cache, dout)
+
+
+def _assert_close(got, want):
+    # BLAS may round a stacked row differently from a row scored alone;
+    # elements that cancel to near zero are held to the array's scale
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    scale = max(1.0, float(np.max(np.abs(want), initial=0.0)))
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14 * scale)
+
+
+def _assert_step_matches_reference(qnet, target, batch, weights, lam,
+                                   margin=0.8, gamma=0.9):
+    targets = prepare_targets(qnet, target, batch, gamma)
+    _assert_close(targets, reference_targets(qnet, target, batch, gamma))
+    loss, grads, tds = compute_gradients(qnet, batch, targets, weights, lam,
+                                         margin)
+    want_loss, want_grads, want_tds = reference_gradients(
+        qnet, batch, targets, weights, lam, margin)
+    _assert_close(loss, want_loss)
+    _assert_close(tds, want_tds)
+    assert len(grads) == len(want_grads)
+    for (dw, db), (want_dw, want_db) in zip(grads, want_grads):
+        assert dw.shape == want_dw.shape and db.shape == want_db.shape
+        _assert_close(dw, want_dw)
+        _assert_close(db, want_db)
+
+
+def _random_batch(rng, size, rows=(2, 30)):
+    def state():
+        return random_state(rng, int(rng.integers(rows[0], rows[1] + 1)))
+
+    batch = []
+    for _ in range(size):
+        s = state()
+        batch.append(Transition(
+            state=s, action=int(rng.integers(len(s))),
+            reward=float(-rng.uniform(0, 1)), next_state=state(),
+            terminal=bool(rng.random() < 0.3),
+            is_demo=bool(rng.random() < 0.5)))
+    return batch
+
+
+class TestStackedStep:
+    """prepare_targets and compute_gradients score a batch as one stack of
+    rows; the per-transition loops above are their reference."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), size=st.integers(1, 40),
+           lam=st.sampled_from([0.0, 0.37, 1.0]), repeat=st.booleans())
+    def test_matches_per_transition_reference(self, seed, size, lam, repeat):
+        rng = np.random.default_rng(seed)
+        hidden = tuple(int(rng.integers(3, 65))
+                       for _ in range(int(rng.integers(1, 3))))
+        qnet = QNet.create(rng, hidden=hidden)
+        target = QNet.create(rng, hidden=hidden)
+        batch = _random_batch(rng, size)
+        if repeat:  # one transition drawn twice, as replay sampling may do
+            batch.insert(int(rng.integers(len(batch) + 1)),
+                         batch[int(rng.integers(len(batch)))])
+        weights = rng.uniform(0.2, 1.0, len(batch))
+        _assert_step_matches_reference(qnet, target, batch, weights, lam)
+
+    def test_batch_of_one(self):
+        rng = np.random.default_rng(30)
+        qnet = QNet.create(rng, hidden=(16, 8))
+        for terminal, is_demo in ((False, True), (True, False)):
+            (tr,) = _random_batch(rng, 1)
+            tr.terminal, tr.is_demo = terminal, is_demo
+            _assert_step_matches_reference(qnet, qnet.copy(), [tr],
+                                           np.ones(1), 0.5)
+
+    def test_all_terminal_batch_runs_no_next_state_pass(self):
+        rng = np.random.default_rng(31)
+        qnet = _CountingQNet.create(rng, hidden=(8,))
+        target = _CountingQNet.create(rng, hidden=(8,))
+        batch = _random_batch(rng, 5)
+        for t in batch:
+            t.terminal = True
+        targets = prepare_targets(qnet, target, batch, 0.9)
+        np.testing.assert_array_equal(targets, [t.reward for t in batch])
+        assert qnet.forwards == target.forwards == 0
+        _assert_step_matches_reference(qnet, target, batch, np.ones(5), 1.0)
+
+    def test_one_stacked_pass_each(self):
+        rng = np.random.default_rng(32)
+        qnet = _CountingQNet.create(rng, hidden=(8,))
+        target = _CountingQNet.create(rng, hidden=(8,))
+        batch = _random_batch(rng, 32)
+        batch[0].terminal = False
+        train_step(qnet, target, batch, np.ones(32), 0.5,
+                   TrainerConfig(hidden=(8,)))
+        assert (qnet.forwards, target.forwards) == (2, 1)
+        assert (qnet.backwards, target.backwards) == (1, 0)
+
+    def test_ties_go_to_lowest_index_of_segment(self):
+        # a last layer of zeros scores every row alike, so the margin's
+        # argmax and the Double-DQN argmax tie across each whole segment;
+        # each must pick its own segment's lowest candidate
+        rng = np.random.default_rng(33)
+        qnet = QNet.create(rng, hidden=(8,))
+        qnet.weights[-1][...] = 0.0
+        target = QNet.create(rng, hidden=(8,))
+        batch = _random_batch(rng, 6, rows=(3, 6))
+        for i, t in enumerate(batch):
+            t.is_demo, t.terminal = True, False
+            t.action = i % 3
+        _assert_step_matches_reference(qnet, target, batch, np.ones(6), 1.0)
+        targets = prepare_targets(qnet, target, batch, 0.9)
+        for t, got in zip(batch, targets):
+            first = q_forward(target, t.next_state)[0]
+            assert got == pytest.approx(t.reward + 0.9 * first, rel=1e-12)
+
+    def test_action_outside_its_state_rejected(self):
+        rng = np.random.default_rng(34)
+        qnet = QNet.create(rng, hidden=(8,))
+        batch = _random_batch(rng, 3, rows=(2, 4))
+        batch[1].action = len(batch[1].state)
+        with pytest.raises(ValueError):
+            compute_gradients(qnet, batch, np.zeros(3), np.ones(3), 0.5, 0.8)
+
+
 class TestTargetFreeze:
     def test_outputs_bit_identical_between_syncs(self, toy, toy_query):
         rng = np.random.default_rng(14)
@@ -578,7 +745,7 @@ class TestDemonstrationsAndTraining:
         for w1, w2 in zip(r1.qnet.weights, r2.qnet.weights):
             np.testing.assert_array_equal(w1, w2)
 
-    def test_training_leaves_demonstrations_unchanged(self):
+    def test_training_leaves_demonstrations_unchanged(self, capsys):
         # replay priorities live in the buffer, so a demonstration list can
         # seed any number of identical runs
         insts = gen_random_suite(seed=41, count=4, n_relus=(9, 12))
@@ -590,6 +757,8 @@ class TestDemonstrationsAndTraining:
         r1 = train(config, [], [], demo_transitions=demos)
         r2 = train(config, [], [], demo_transitions=demos)
         assert r1.loss_trace == r2.loss_trace
+        # without a handler, the per-epoch progress lines print nothing
+        assert capsys.readouterr() == ("", "")
 
     def test_imitation_smoke(self):
         # after demo-only training, the greedy policy should usually agree
@@ -650,6 +819,25 @@ class TestCheckpoint:
             save_checkpoint(path, QNet(weights, biases), TrainerConfig())
             with pytest.raises(ValueError, match=re.escape(str(path))):
                 load_checkpoint(path)
+
+    def test_hidden_line_must_match_blocks(self, tmp_path):
+        path = tmp_path / "ck.txt"
+        save_checkpoint(path, QNet.create(np.random.default_rng(21),
+                                          hidden=(3, 2)), TrainerConfig())
+        text = path.read_text()
+        assert "\nhidden 3,2\n" in text
+        path.write_text(text.replace("\nhidden 3,2\n", "\nhidden 7\n"))
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            load_checkpoint(path)
+
+    def test_config_hidden_comes_from_blocks(self, tmp_path):
+        # the config line says (64, 64); the weights are (3, 2)
+        path = tmp_path / "ck.txt"
+        save_checkpoint(path, QNet.create(np.random.default_rng(22),
+                                          hidden=(3, 2)),
+                        TrainerConfig(hidden=(64, 64)))
+        loaded, config = load_checkpoint(path)
+        assert loaded.hidden == config.hidden == (3, 2)
 
     def test_policy_verifies(self, toy, toy_query, tmp_path):
         rng = np.random.default_rng(17)

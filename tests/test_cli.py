@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -210,6 +212,27 @@ def test_train_command(tmp_path, capsys):
                  "--demo-epochs", "1", "--demo-steps", "20",
                  "--finetune-epochs", "1", "--finetune-steps", "20",
                  "--max-iterations", "500", "--seed", "5"]) == 0
+    # one progress line per pretraining and fine-tuning epoch
+    progress = [ln for ln in capsys.readouterr().out.splitlines()
+                if ln.startswith("phase=")]
+    assert len(progress) == 2
+    fields = [dict(kv.split("=") for kv in ln.split()) for ln in progress]
+    assert [(f["phase"], f["epoch"], f["steps"]) for f in fields] == [
+        ("pretrain", "0", "20"), ("finetune", "0", "40")]
+    for f in fields:
+        assert set(f) == {"phase", "epoch", "steps", "loss", "lambda",
+                          "beta", "epsilon", "buffer", "episodes", "sat",
+                          "unsat", "timeout"}
+        assert np.isfinite(float(f["loss"]))
+    assert (fields[0]["lambda"], fields[0]["beta"]) == ("1", "0.4")
+    assert fields[0]["episodes"] == "0"
+    episodes = int(fields[1]["episodes"])
+    assert episodes >= 1
+    assert sum(int(fields[1][k]) for k in ("sat", "unsat", "timeout")) \
+        == episodes
+    assert int(fields[1]["buffer"]) >= int(fields[0]["buffer"])
+    # the handler is the command's; the library stays silent
+    assert not logging.getLogger("relubab.train").handlers
     ckpts = list(out.glob("checkpoint_*.txt"))
     assert ckpts
     final = out / "checkpoint_final.txt"

@@ -10,14 +10,21 @@ alters trees on purpose regenerates them with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and reviews the diff of ``tests/golden/``.
+and reviews the diff of ``tests/golden/``. A change that should alter only
+some files names them, and the script rewrites only those:
+
+    PYTHONPATH=src python tests/test_golden.py train-loss-trace.txt
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import relubab
 from relubab.agent import AgentPolicy, QNet, TrainerConfig, train
 from relubab.harness import gen_random_suite
 from relubab.heuristics import STATIC_STRATEGIES
@@ -84,8 +91,24 @@ def test_matches_golden(name):
     assert golden_text(name) == (GOLDEN_DIR / name).read_text()
 
 
+def test_regenerating_unknown_name_is_an_error():
+    # checked before any file is written
+    src = str(Path(relubab.__file__).parents[1])
+    run = subprocess.run([sys.executable, __file__, LOSS_TRACE, "nope.log"],
+                         capture_output=True, text=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert run.returncode != 0
+    assert "unknown golden file(s) nope.log" in run.stderr
+    assert "wrote" not in run.stdout
+
+
 if __name__ == "__main__":
+    names = sys.argv[1:] or GOLDEN_NAMES
+    unknown = sorted(set(names) - set(GOLDEN_NAMES))
+    if unknown:
+        sys.exit(f"unknown golden file(s) {', '.join(unknown)}; "
+                 f"choose from {', '.join(GOLDEN_NAMES)}")
     GOLDEN_DIR.mkdir(exist_ok=True)
-    for name in GOLDEN_NAMES:
+    for name in names:
         (GOLDEN_DIR / name).write_text(golden_text(name))
         print(f"wrote {GOLDEN_DIR / name}")

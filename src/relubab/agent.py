@@ -33,21 +33,21 @@ first, never evicted, then the self-play ring of the remaining capacity.
 ``ReplayBuffer.priority`` is one float64 array in the same order, read by
 sampling and written by priority updates.
 
-Checkpoint format v1 (text)::
+Checkpoint format v2 (text)::
 
-    relubab-checkpoint v1
+    relubab-checkpoint v2
     features <comma-separated feature names>
-    hidden <comma-separated hidden widths>
     config <key=value ...>
     layer <i> weight <rows> <cols>
     <one row of %.17g values per line>
     layer <i> bias <rows>
     <one value per line>
 
-Loading checks the feature list against the featurizer, that the layer
-shapes chain from it to one output, and that the ``hidden`` line names the
-blocks' hidden widths; any bad file raises ValueError. The loaded config's
-``hidden`` is the blocks' widths, whatever the config line says.
+The layer blocks alone define the network; the hidden widths are their row
+counts. The ``config`` line records the trainer settings for provenance and
+is not read back. Loading checks the feature list against the featurizer
+and that the layer shapes chain from it to one output; any other file,
+including a v1 file (which had a ``hidden`` line), raises ValueError.
 """
 
 from __future__ import annotations
@@ -176,10 +176,6 @@ class QNet:
     def input_width(self) -> int:
         return self.weights[0].shape[1]
 
-    @property
-    def hidden(self) -> tuple[int, ...]:
-        return tuple(w.shape[0] for w in self.weights[:-1])
-
     def copy(self) -> "QNet":
         return QNet([w.copy() for w in self.weights],
                     [b.copy() for b in self.biases])
@@ -286,17 +282,14 @@ class Transition:
     depth: int = 0
 
 
-def record_delayed_rewards(events: Iterable,
-                           captures: Sequence[tuple[StateFeatures, int]] | None = None
-                           ) -> list[Transition]:
+def record_delayed_rewards(events: Iterable) -> list[Transition]:
     """Transitions with delayed subtree penalties from one run's event log.
 
     Each split on a node with k unfixed neurons is charged
     -actual / (2^k - 1) when its subtree closes, where actual counts the
     split itself plus every split performed inside the subtree. Transitions
     follow DFS action order; the run's final action carries the terminal
-    flag. ``captures`` optionally supplies (state features, action index)
-    per split, in the same order.
+    flag. They carry no state: the log alone gives the rewards.
     """
     node_parent: dict[int, int] = {}
     node_depth: dict[int, int] = {}
@@ -307,8 +300,6 @@ def record_delayed_rewards(events: Iterable,
             node_depth[ev.node_id] = ev.depth
         elif isinstance(ev, SplitEvent):
             splits.append(ev)
-    if captures is not None and len(captures) != len(splits):
-        raise ValueError(f"{len(captures)} captures for {len(splits)} splits")
 
     split_index: dict[int, int] = {}
     for j, sp in enumerate(splits):
@@ -331,17 +322,9 @@ def record_delayed_rewards(events: Iterable,
     transitions = []
     for j, sp in enumerate(splits):
         full = 2 ** sp.k - 1
-        state, action = (captures[j] if captures is not None else
-                         (None, -1))
-        nxt = None
-        if j + 1 < len(splits) and captures is not None:
-            nxt = captures[j + 1][0]
         transitions.append(Transition(
-            state=state, action=action,
-            reward=-actual[j] / full,
-            next_state=nxt,
-            terminal=(j + 1 == len(splits)),
-            is_demo=False,
+            state=None, action=-1, reward=-actual[j] / full, next_state=None,
+            terminal=(j + 1 == len(splits)), is_demo=False,
             neuron=sp.neuron, phase=sp.phase, k=sp.k,
             actual=actual[j], full=full, node_id=sp.node_id,
             depth=node_depth[sp.node_id]))
@@ -357,12 +340,18 @@ def policy_transitions(events: Iterable,
     policy, not to the learned policy, so they are treated as environment
     dynamics: their states never enter the replay buffer, and the one-step
     chain links consecutive controllable decisions (terminal on the last
-    one).
+    one). ``captures`` holds (state features, action index) for each of
+    these deep splits in order, as TrajectoryCollector records them; a
+    count that differs raises ValueError.
     """
-    full_chain = record_delayed_rewards(events, captures)
-    deep = [t for t in full_chain if t.depth > INITIAL_SPLIT_DEPTH]
-    for i, tr in enumerate(deep):
-        tr.next_state = deep[i + 1].state if i + 1 < len(deep) else None
+    deep = [t for t in record_delayed_rewards(events)
+            if t.depth > INITIAL_SPLIT_DEPTH]
+    if len(captures) != len(deep):
+        raise ValueError(f"{len(captures)} captures for {len(deep)} splits "
+                         f"deeper than depth {INITIAL_SPLIT_DEPTH}")
+    for i, (tr, (state, action)) in enumerate(zip(deep, captures)):
+        tr.state, tr.action = state, action
+        tr.next_state = captures[i + 1][0] if i + 1 < len(deep) else None
         tr.terminal = i + 1 == len(deep)
     return deep
 
@@ -615,12 +604,15 @@ class AgentPolicy:
 
 
 class TrajectoryCollector:
-    """Captures (state features, chosen action index) at every split."""
+    """Captures (state features, chosen action index) at every split deeper
+    than INITIAL_SPLIT_DEPTH, the splits that policy_transitions keeps."""
 
     def __init__(self):
         self.steps: list[tuple[StateFeatures, int]] = []
 
     def on_split(self, net, node, scores, action, fctx):
+        if node.depth <= INITIAL_SPLIT_DEPTH:
+            return
         state = featurize(net, node, scores, fctx)
         self.steps.append((state, state.index_of(action.neuron, action.phase)))
 
@@ -806,9 +798,8 @@ def train(config: TrainerConfig,
 
 
 def save_checkpoint(path: str | Path, qnet: QNet, config: TrainerConfig):
-    lines = ["relubab-checkpoint v1",
-             "features " + ",".join(FEATURE_NAMES),
-             "hidden " + ",".join(str(h) for h in qnet.hidden)]
+    lines = ["relubab-checkpoint v2",
+             "features " + ",".join(FEATURE_NAMES)]
     cfg_items = []
     for f in fields(config):
         v = getattr(config, f.name)
@@ -826,40 +817,29 @@ def save_checkpoint(path: str | Path, qnet: QNet, config: TrainerConfig):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def load_checkpoint(path: str | Path) -> tuple[QNet, TrainerConfig]:
-    """A v1 checkpoint's network and config; ValueError names a bad file."""
+def load_checkpoint(path: str | Path) -> QNet:
+    """A v2 checkpoint's network; ValueError names a bad file."""
     try:
         return _parse_checkpoint(Path(path).read_text().splitlines())
     except (IndexError, ValueError) as err:  # IndexError: missing line
-        raise ValueError(f"{path}: truncated or malformed checkpoint "
+        raise ValueError(f"{path}: not a well-formed v2 checkpoint "
                          f"({err})") from None
 
 
-def _parse_checkpoint(lines: list[str]) -> tuple[QNet, TrainerConfig]:
-    if not lines or lines[0].strip() != "relubab-checkpoint v1":
-        raise ValueError("not a v1 checkpoint")
+def _parse_checkpoint(lines: list[str]) -> QNet:
+    if lines[0].strip() != "relubab-checkpoint v2":
+        raise ValueError(f"header {lines[0]!r}, expected "
+                         f"'relubab-checkpoint v2'")
     feats = tuple(lines[1].split(" ", 1)[1].split(","))
     if feats != FEATURE_NAMES:
         raise ValueError(
             f"feature layout {feats} does not match the current "
             f"featurizer {FEATURE_NAMES}")
-    key, _, raw_hidden = lines[2].partition(" ")
-    if key != "hidden":
-        raise ValueError(f"expected a hidden line, got {lines[2]!r}")
-    header_hidden = tuple(int(x) for x in raw_hidden.split(",") if x)
-    cfg_kv = dict(item.split("=", 1) for item in lines[3].split(" ")[1:])
-    kwargs = {}
-    for f in fields(TrainerConfig):
-        raw = cfg_kv.get(f.name)
-        if raw is None or f.name == "hidden":  # hidden: from the blocks
-            continue
-        if isinstance(f.default, bool):
-            kwargs[f.name] = raw == "True"
-        else:  # int or float
-            kwargs[f.name] = type(f.default)(float(raw))
+    if lines[2].split(" ", 1)[0] != "config":
+        raise ValueError(f"expected a config line, got {lines[2]!r}")
     weights, biases = [], []
     blocks = {"weight": weights, "bias": biases}
-    i = 4
+    i = 3
     while i < len(lines):
         header = lines[i].split()
         if header[0] != "layer" or header[2] not in blocks:
@@ -879,8 +859,4 @@ def _parse_checkpoint(lines: list[str]) -> tuple[QNet, TrainerConfig]:
         raise ValueError(f"layer shapes {[w.shape for w in weights]} and "
                          f"{[b.shape for b in biases]} do not chain from "
                          f"{widths[0]} features to one output")
-    qnet = QNet(weights, biases)
-    if header_hidden != qnet.hidden:
-        raise ValueError(f"hidden line {header_hidden} does not match the "
-                         f"layer widths {qnet.hidden}")
-    return qnet, TrainerConfig(**kwargs, hidden=qnet.hidden)
+    return QNet(weights, biases)

@@ -49,23 +49,30 @@ def _add_query_args(p: argparse.ArgumentParser, net_required: bool):
 
 def _load_queries(args, net):
     """Queries on ``net`` from --prop and --robust-manifest, shared by every
-    command that takes --net so that all honour --normalize-inputs."""
+    command that takes --net so that all honour --normalize-inputs. A
+    property or manifest that yields no valid query exits with a one-line
+    message."""
     if not (args.prop or args.robust_manifest):
         raise SystemExit("need --prop or --robust-manifest")
     queries = []
-    if args.prop:
-        text = Path(args.prop).read_text()
-        queries.append(parse_property(text, net, label=Path(args.prop).stem))
-    if args.robust_manifest:
-        rows = load_robustness_manifest(Path(args.robust_manifest).read_text())
-        for i, (x0, delta) in enumerate(rows):
-            if args.normalize_inputs:
-                x0 = net.normalize_input(x0)
-            queries.extend(make_robustness_queries(
-                net, x0, delta, comparator=args.comparator,
-                label=f"rob{i:04d}"))
-        print(f"# comparator={args.comparator} ({len(rows)} points, "
-              f"{len(queries)} queries)")
+    try:
+        if args.prop:
+            text = Path(args.prop).read_text()
+            queries.append(parse_property(text, net,
+                                          label=Path(args.prop).stem))
+        if args.robust_manifest:
+            rows = load_robustness_manifest(
+                Path(args.robust_manifest).read_text())
+            for i, (x0, delta) in enumerate(rows):
+                if args.normalize_inputs:
+                    x0 = net.normalize_input(x0)
+                queries.extend(make_robustness_queries(
+                    net, x0, delta, comparator=args.comparator,
+                    label=f"rob{i:04d}"))
+            print(f"# comparator={args.comparator} ({len(rows)} points, "
+                  f"{len(queries)} queries)")
+    except ValueError as err:  # PropertyFormatError, TieError, bad network
+        raise SystemExit(f"cannot build queries: {err}") from None
     return queries
 
 

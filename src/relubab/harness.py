@@ -206,8 +206,7 @@ def make_strategy(name: str, checkpoint=None):
         from .agent import AgentPolicy, load_checkpoint
         if checkpoint is None:
             raise ValueError("agent strategy needs a checkpoint")
-        qnet, _ = load_checkpoint(checkpoint)
-        return AgentPolicy(qnet)
+        return AgentPolicy(load_checkpoint(checkpoint))
     if name not in STATIC_STRATEGIES:
         raise ValueError(f"unknown strategy {name!r}; expected one of "
                          f"{', '.join(STATIC_STRATEGIES + ('agent',))}")

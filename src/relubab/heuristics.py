@@ -1,6 +1,6 @@
 """Static splitting heuristics and the shared split-selection entry point.
 
-Scores are recomputed from the node's current bounds and relaxation solution
+Scores are recomputed from the node's current bounds and relaxation errors
 at every decision, so a strategy's preference can change as the search
 deepens. Scores are float arrays over the network's ReLUs in relu_ids()
 order. All ties break toward the smallest NeuronId for reproducibility:
@@ -67,12 +67,12 @@ def relu_soi(solution: np.ndarray, vmap: VarMap) -> np.ndarray:
     return soi_error(solution[vmap.pre], solution[vmap.post])
 
 
-def soi_total(net: Network, solution: np.ndarray, vmap: VarMap) -> float:
-    """Sum of soi_error over all ReLU neurons; 0 means every ReLU is exact.
+def soi_total(net: Network, errors: np.ndarray) -> float:
+    """Sum of the per-ReLU soi_errors (relu_soi); 0 means every ReLU is
+    exact.
 
     Summed within each layer, then over layers: the order fixes the last
     digits of the logged value."""
-    errors = relu_soi(solution, vmap)
     return sum((float(np.sum(errors[sl])) for sl in net.relu_slices.values()),
                0.0)
 
@@ -150,8 +150,7 @@ def compute_scores(net: Network, node, output_direction: np.ndarray,
     pol[unfixed] = polarity(node.bounds.pre_lower[unfixed],
                             node.bounds.pre_upper[unfixed])
     babsr = babsr_scores(net, node.bounds, node.phases, output_direction)
-    return HeuristicScores(unfixed=unfixed,
-                           soi=relu_soi(node.solution, node.vmap),
+    return HeuristicScores(unfixed=unfixed, soi=node.soi_errors,
                            polarity=pol, babsr=babsr, pi=pi)
 
 

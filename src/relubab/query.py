@@ -149,6 +149,9 @@ def make_robustness_queries(net: Network, x0: Sequence[float], delta: float,
         raise ValueError("delta must be positive")
     if comparator not in ("argmax", "argmin"):
         raise ValueError(f"unknown comparator {comparator!r}")
+    if net.output_dim < 2:
+        raise ValueError(f"robustness queries need at least two outputs; "
+                         f"the network has {net.output_dim}")
     x0 = np.asarray(x0, dtype=float)
     y0 = evaluate(net, x0)
     order = np.argsort(y0)

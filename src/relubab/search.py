@@ -38,10 +38,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .heuristics import PI_BETA, STATIC_STRATEGIES, SplitAction, \
-    compute_scores, pseudo_impact_update, select_split, soi_total
+    compute_scores, pseudo_impact_update, relu_soi, select_split, soi_total
 from .model import Network, NeuronId
 from .numeric import SAT_SOI_TOL, _CONFLICT_EPS, BoundsMap, Conflict, Phase, \
-    VarMap, propagate_intervals, solve_relaxation, tighten_bounds_lp
+    propagate_intervals, solve_relaxation, tighten_bounds_lp
 from .query import Query, Verdict, check_witness
 
 
@@ -64,18 +64,18 @@ class _Timeout(Exception):
 class NodeState:
     """One BaB node after deduction, as built by ``expand``.
 
-    A conflict node carries no bounds, solution or SoI; its phases are
-    those deduced before the conflict. ``node_id`` and
-    ``splits_so_far`` (the run's split count when the node was visited) are
-    set by the engine.
+    ``soi_errors`` holds the soi_error of every ReLU at the relaxation's
+    optimum, in relu_ids() order, and ``soi`` is their total. A conflict
+    node carries no bounds or SoI; its phases are those deduced before the
+    conflict. ``node_id`` and ``splits_so_far`` (the run's split count when
+    the node was visited) are set by the engine.
     """
 
     phases: np.ndarray  # int8 Phase codes in relu_ids() order
     depth: int
     status: str  # "open" | "conflict" | "sat"
     bounds: BoundsMap | None = None
-    solution: np.ndarray | None = None
-    vmap: VarMap | None = None
+    soi_errors: np.ndarray | None = None
     soi: float | None = None
     witness: np.ndarray | None = None
     action: SplitAction | None = None
@@ -256,7 +256,8 @@ def expand(net: Network, query: Query, parent: NodeState | None,
         return NodeState(phases=phases, depth=depth, status="conflict",
                          action=action, parent_id=parent_id)
 
-    soi = soi_total(net, result.x, vmap)
+    soi_errors = relu_soi(result.x, vmap)
+    soi = soi_total(net, soi_errors)
     status, witness = "open", None
     if soi <= SAT_SOI_TOL:
         candidate = result.x[vmap.x].copy()
@@ -267,7 +268,7 @@ def expand(net: Network, query: Query, parent: NodeState | None,
                 "fully fixed node is LP-feasible but its witness fails "
                 "validation; solver tolerance breach")
     return NodeState(phases=phases, depth=depth, status=status, bounds=bounds,
-                     solution=result.x, vmap=vmap, soi=soi, witness=witness,
+                     soi_errors=soi_errors, soi=soi, witness=witness,
                      action=action, parent_id=parent_id)
 
 
@@ -384,23 +385,19 @@ class _Engine:
                        wall_time_ms=self._elapsed_ms())
 
     def _dfs(self, root: NodeState) -> tuple[str, np.ndarray | None]:
-        stack: list[list] = [[root, None]]
+        # open nodes; a split pushes the sibling, then the chosen child on
+        # top, so the chosen subtree is explored first
+        stack = [root]
         while stack:
-            node, pending = stack[-1]
-            if pending is None:
-                action = self._pick_action(node)
-                chosen = self._visit(node, action)
-                if chosen.status == "sat":
-                    return "SAT", chosen.witness
-                sibling = self._visit(node, action.complement())
-                if sibling.status == "sat":
-                    return "SAT", sibling.witness
-                stack[-1][1] = [c for c in (chosen, sibling)
-                                if c.status == "open"]
-            elif pending:
-                stack.append([pending.pop(0), None])
-            else:
-                stack.pop()
+            node = stack.pop()
+            action = self._pick_action(node)
+            chosen = self._visit(node, action)
+            if chosen.status == "sat":
+                return "SAT", chosen.witness
+            sibling = self._visit(node, action.complement())
+            if sibling.status == "sat":
+                return "SAT", sibling.witness
+            stack.extend(c for c in (sibling, chosen) if c.status == "open")
         return "UNSAT", None
 
 

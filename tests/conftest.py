@@ -1,3 +1,11 @@
+import os
+
+# one BLAS thread, set before numpy loads its BLAS: the stacked products of
+# a training step are large enough for OpenBLAS to split them over every
+# core, which costs more than it saves on a small or shared machine
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 import pytest
 

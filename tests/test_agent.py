@@ -10,11 +10,13 @@ from relubab.agent import (FEATURE_NAMES, INPUT_WIDTH, AgentPolicy, QNet,
                            Transition, act, compute_gradients,
                            double_dqn_target, featurize,
                            generate_demonstrations, load_checkpoint,
-                           loss_given_targets, margin_loss, prepare_targets,
-                           q_forward, record_delayed_rewards, sample_prioritized,
+                           loss_given_targets, margin_loss,
+                           policy_transitions, prepare_targets, q_forward,
+                           record_delayed_rewards, sample_prioritized,
                            save_checkpoint, train, train_step,
                            update_priorities)
 from relubab.harness import gen_random_suite
+from relubab.heuristics import INITIAL_SPLIT_DEPTH
 from relubab.model import NeuronId
 from relubab.numeric import Phase
 from relubab.query import example_property
@@ -778,15 +780,23 @@ class TestCheckpoint:
     def test_roundtrip_exact(self, tmp_path):
         rng = np.random.default_rng(15)
         qnet = QNet.create(rng)
-        config = TrainerConfig(seed=9)
         path = tmp_path / "ck.txt"
-        save_checkpoint(path, qnet, config)
-        loaded, loaded_config = load_checkpoint(path)
-        for a, b in zip(qnet.weights + qnet.biases,
-                        loaded.weights + loaded.biases):
-            np.testing.assert_array_equal(a, b)
-        assert loaded_config.seed == 9
-        assert loaded_config.gamma == config.gamma
+        save_checkpoint(path, qnet, TrainerConfig(seed=9))
+        loaded = load_checkpoint(path)
+        assert loaded.flatten().tobytes() == qnet.flatten().tobytes()
+        for a, b in zip(loaded.weights + loaded.biases,
+                        qnet.weights + qnet.biases):
+            assert a.shape == b.shape
+
+    def test_v1_file_rejected(self, tmp_path):
+        path = tmp_path / "ck.txt"
+        save_checkpoint(path, QNet.create(np.random.default_rng(21),
+                                          hidden=(3, 2)), TrainerConfig())
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(["relubab-checkpoint v1\n", lines[1],
+                                 "hidden 3,2\n", *lines[2:]]))
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            load_checkpoint(path)
 
     def test_feature_layout_validated(self, tmp_path):
         rng = np.random.default_rng(16)
@@ -820,25 +830,6 @@ class TestCheckpoint:
             with pytest.raises(ValueError, match=re.escape(str(path))):
                 load_checkpoint(path)
 
-    def test_hidden_line_must_match_blocks(self, tmp_path):
-        path = tmp_path / "ck.txt"
-        save_checkpoint(path, QNet.create(np.random.default_rng(21),
-                                          hidden=(3, 2)), TrainerConfig())
-        text = path.read_text()
-        assert "\nhidden 3,2\n" in text
-        path.write_text(text.replace("\nhidden 3,2\n", "\nhidden 7\n"))
-        with pytest.raises(ValueError, match=re.escape(str(path))):
-            load_checkpoint(path)
-
-    def test_config_hidden_comes_from_blocks(self, tmp_path):
-        # the config line says (64, 64); the weights are (3, 2)
-        path = tmp_path / "ck.txt"
-        save_checkpoint(path, QNet.create(np.random.default_rng(22),
-                                          hidden=(3, 2)),
-                        TrainerConfig(hidden=(64, 64)))
-        loaded, config = load_checkpoint(path)
-        assert loaded.hidden == config.hidden == (3, 2)
-
     def test_policy_verifies(self, toy, toy_query, tmp_path):
         rng = np.random.default_rng(17)
         qnet = QNet.create(rng)
@@ -847,13 +838,27 @@ class TestCheckpoint:
 
 
 class TestCollector:
-    def test_collector_alignment(self, toy, toy_query):
+    @pytest.mark.parametrize("tighten", [True, False],
+                             ids=["lp", "interval"])
+    def test_one_capture_per_deep_split(self, tighten):
+        # a query whose trees split below the shared initial depth in both
+        # modes (2 deep splits with LP tightening, 5 without)
+        inst = gen_random_suite(seed=7, count=1, n_relus=(6, 10))[0]
         log = []
         collector = TrajectoryCollector()
-        verdict = verify(toy, toy_query, "babsr", Budget(seed=0),
-                         event_log=log, collector=collector)
-        assert len(collector.steps) == verdict.splits
-        transitions = record_delayed_rewards(log, collector.steps)
-        for tr in transitions:
-            assert tr.state is not None
-            assert tr.state.candidates[tr.action] == (tr.neuron, tr.phase)
+        verify(inst.net, inst.query, "babsr", Budget(seed=0),
+               tighten=tighten, event_log=log, collector=collector)
+        depth = {ev.node_id: ev.depth for ev in log
+                 if isinstance(ev, NodeEvent)}
+        deep = [ev for ev in log if isinstance(ev, SplitEvent)
+                and depth[ev.node_id] > INITIAL_SPLIT_DEPTH]
+        assert deep and len(collector.steps) == len(deep)
+        transitions = policy_transitions(log, collector.steps)
+        assert len(transitions) == len(deep)
+        for tr, ev, (state, action) in zip(transitions, deep,
+                                           collector.steps):
+            assert state.candidates[action] == (ev.neuron, ev.phase)
+            assert tr.node_id == ev.node_id
+            assert tr.state is state and tr.action == action
+        with pytest.raises(ValueError):
+            policy_transitions(log, collector.steps[:-1])

@@ -164,6 +164,28 @@ def test_robustness_manifest_flow(tmp_path, capsys):
     assert "group-verdict" in out
 
 
+# identical output rows tie at every point
+TIED = Network(layers=(Layer(np.array([[1.0], [1.0]]), np.zeros(2), False),),
+               input_lower=-np.ones(1), input_upper=np.ones(1))
+
+
+@pytest.mark.parametrize("net, source, text, reason", [
+    (toy_network(), "--prop", "in 5 >= 0\nout 1 <= 0\n", "out of range"),
+    (toy_network(), "--robust-manifest", "0.1 -0.2 ; 0.05\n",
+     "the network has 1"),
+    (TIED, "--robust-manifest", "0.3 ; 0.05\n", "tie"),
+], ids=["property-format", "one-output", "tie"])
+def test_bad_queries_exit_with_one_line(tmp_path, net, source, text, reason):
+    net_path = tmp_path / "net.nnet"
+    net_path.write_text(emit_nnet(net))
+    path = tmp_path / "queries.txt"
+    path.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--net", str(net_path), source, str(path)])
+    message = str(exc.value.code)
+    assert reason in message and "\n" not in message
+
+
 def test_normalize_inputs_flag(tmp_path, capsys):
     # a network whose NNet header carries nontrivial input normalization:
     # raw manifest points are mapped into network coordinates on request

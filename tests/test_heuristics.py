@@ -32,7 +32,7 @@ class TestSoiTotal:
     VMAP = SimpleNamespace(pre=np.array([0, 1]), post=np.array([2, 3]))
 
     def _total(self, pre, post):
-        return soi_total(TOY, np.array([*pre, *post]), self.VMAP)
+        return soi_total(TOY, relu_soi(np.array([*pre, *post]), self.VMAP))
 
     def test_all_exact(self):
         assert self._total((0.5, -1.0), (0.5, 0.0)) == 0.0
@@ -48,7 +48,7 @@ class TestSoiTotal:
 
     def test_missing_solution(self):
         with pytest.raises(ValueError):
-            soi_total(TOY, None, None)
+            relu_soi(None, None)
 
 
 class TestPolarity:

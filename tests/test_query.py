@@ -114,6 +114,10 @@ class TestRobustnessQueries:
         with pytest.raises(TieError):
             make_robustness_queries(net, [0.3], 0.05)
 
+    def test_one_output_rejected(self, toy):
+        with pytest.raises(ValueError, match="the network has 1"):
+            make_robustness_queries(toy, [0.1, -0.2], 0.05)
+
     def test_delta_positive(self):
         net = five_output_net()
         with pytest.raises(ValueError):

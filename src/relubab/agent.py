@@ -162,9 +162,9 @@ class QNet:
         self.biases = biases
 
     @classmethod
-    def create(cls, rng: np.random.Generator, input_width: int = INPUT_WIDTH,
+    def create(cls, rng: np.random.Generator,
                hidden: Sequence[int] = (64, 64)) -> "QNet":
-        dims = [input_width, *hidden, 1]
+        dims = [INPUT_WIDTH, *hidden, 1]
         weights, biases = [], []
         for fan_in, fan_out in zip(dims[:-1], dims[1:]):
             scale = math.sqrt(2.0 / fan_in)
@@ -585,20 +585,21 @@ def train_step(qnet: QNet, target_qnet: QNet, batch: Sequence[Transition],
 class AgentPolicy:
     """Splitting strategy backed by a QNet; plugs into search.verify.
 
-    With epsilon > 0 the policy explores using its own generator (the
-    trainer's), keeping training runs reproducible from one seed.
+    A greedy policy (epsilon = 0) draws nothing. With epsilon > 0 it
+    explores with its own generator ``rng`` (the trainer's), which it needs.
     """
 
     def __init__(self, qnet: QNet, epsilon: float = 0.0,
                  rng: np.random.Generator | None = None):
+        if epsilon > 0.0 and rng is None:
+            raise ValueError("an exploring policy (epsilon > 0) needs rng")
         self.qnet = qnet
         self.epsilon = epsilon
         self.rng = rng
 
-    def choose(self, net, node, scores, fctx, rng) -> SplitAction:
+    def choose(self, net, node, scores, fctx) -> SplitAction:
         state = featurize(net, node, scores, fctx)
-        gen = self.rng if self.rng is not None else rng
-        idx = act(self.qnet, state, self.epsilon, gen)
+        idx = act(self.qnet, state, self.epsilon, self.rng)
         neuron, phase = state.candidates[idx]
         return SplitAction(neuron, phase)
 
@@ -676,6 +677,7 @@ def train(config: TrainerConfig,
 
     ``demo_transitions`` may supply pre-generated expert transitions; by
     default they are produced from demo_instances with the static experts.
+    Every random draw comes from one generator seeded with ``config.seed``.
 
     At the end of every epoch, one line goes to the ``relubab.train``
     logger at INFO: the epoch's mean loss, the lambda and beta of its last
@@ -683,19 +685,18 @@ def train(config: TrainerConfig,
     the episode count with its SAT, UNSAT and TIMEOUT outcomes so far.
     """
     rng = np.random.default_rng(config.seed)
+    budget = Budget(timeout_s=config.run_timeout_s,
+                    max_iterations=config.run_max_iterations)
     if demo_transitions is None:
-        demo_budget = Budget(timeout_s=config.run_timeout_s,
-                             max_iterations=config.run_max_iterations,
-                             seed=config.seed)
         demo_transitions, _ = generate_demonstrations(
-            demo_instances, demo_budget, tighten=config.tighten)
+            demo_instances, budget, tighten=config.tighten)
     if not demo_transitions:
         raise ValueError("demo source is empty")
 
     buffer = ReplayBuffer(config.buffer_capacity)
     for tr in demo_transitions:
         buffer.add_demo(tr)
-    qnet = QNet.create(rng, INPUT_WIDTH, config.hidden)
+    qnet = QNet.create(rng, config.hidden)
     target = qnet.copy()
 
     ckpt_dir = Path(checkpoint_dir) if checkpoint_dir is not None else None
@@ -760,10 +761,7 @@ def train(config: TrainerConfig,
                                  rng=rng)
             log: list = []
             collector = TrajectoryCollector()
-            verdict = verify(net, query, policy,
-                             Budget(timeout_s=config.run_timeout_s,
-                                    max_iterations=config.run_max_iterations,
-                                    seed=config.seed + episodes),
+            verdict = verify(net, query, policy, budget,
                              tighten=config.tighten,
                              event_log=log, collector=collector)
             episodes += 1

@@ -11,32 +11,22 @@ import logging
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .harness import (SuiteInstance, aggregate, brute_force_verify,
                       cumulative_curve, gen_random_suite, load_instance,
                       make_strategy, read_records_csv, run_suite,
                       write_curve, write_summary)
 from .heuristics import STATIC_STRATEGIES
-from .model import load_nnet
-from .query import load_robustness_manifest, make_robustness_queries, \
-    parse_property
+from .model import Network, load_nnet
+from .query import PropertyFormatError, load_robustness_manifest, \
+    make_robustness_queries, parse_property
 from .search import Budget, events_to_text, verify
 
-def _budget(args) -> Budget:
-    return Budget(timeout_s=args.timeout_s,
-                  max_iterations=args.max_iterations, seed=args.seed)
 
-
-def _add_common(p: argparse.ArgumentParser):
+def _add_search_args(p: argparse.ArgumentParser):
     p.add_argument("--timeout-s", type=float, default=3600.0)
     p.add_argument("--max-iterations", type=int, default=10 ** 9)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--no-tighten", action="store_true",
                    help="interval-only deduction (no LP bound tightening)")
-    p.add_argument("--normalize-inputs", action="store_true",
-                   help="map manifest points through the NNet header's "
-                        "input normalization before building queries")
 
 
 def _add_query_args(p: argparse.ArgumentParser, net_required: bool):
@@ -45,13 +35,20 @@ def _add_query_args(p: argparse.ArgumentParser, net_required: bool):
     p.add_argument("--robust-manifest")
     p.add_argument("--comparator", choices=("argmax", "argmin"),
                    default="argmax")
+    p.add_argument("--normalize-inputs", action="store_true",
+                   help="map manifest points through the NNet header's "
+                        "input normalization before building queries")
 
 
-def _load_queries(args, net):
-    """Queries on ``net`` from --prop and --robust-manifest, shared by every
-    command that takes --net so that all honour --normalize-inputs. A
-    property or manifest that yields no valid query exits with a one-line
-    message."""
+def _load_queries(args) -> tuple[Network, list]:
+    """The --net network and its queries from --prop and --robust-manifest,
+    shared by every command that takes --net so that all honour
+    --normalize-inputs. A malformed network, or a property or manifest
+    that yields no valid query, exits with a one-line message."""
+    try:
+        net = load_nnet(Path(args.net).read_text())
+    except ValueError as err:  # NNetFormatError, inconsistent layers
+        raise SystemExit(f"cannot load {args.net}: {err}") from None
     if not (args.prop or args.robust_manifest):
         raise SystemExit("need --prop or --robust-manifest")
     queries = []
@@ -73,30 +70,33 @@ def _load_queries(args, net):
                   f"{len(queries)} queries)")
     except ValueError as err:  # PropertyFormatError, TieError, bad network
         raise SystemExit(f"cannot build queries: {err}") from None
-    return queries
+    return net, queries
+
+
+def _witness_text(verdict) -> str:
+    if verdict.witness is None:
+        return ""
+    return " witness=" + ",".join(f"{v:.9g}" for v in verdict.witness)
 
 
 def cmd_verify(args) -> int:
-    net = load_nnet(Path(args.net).read_text())
-    queries = _load_queries(args, net)
+    net, queries = _load_queries(args)
     try:
         strategy = make_strategy(args.strategy, args.checkpoint)
     except ValueError as err:  # agent without a usable --checkpoint
         raise SystemExit(f"--strategy {args.strategy}: {err}") from None
+    budget = Budget(timeout_s=args.timeout_s,
+                    max_iterations=args.max_iterations)
     any_sat = False
     logs = []
     for query in queries:
         log = [] if args.log else None
-        verdict = verify(net, query, strategy, _budget(args),
+        verdict = verify(net, query, strategy, budget,
                          tighten=not args.no_tighten, event_log=log)
         any_sat |= verdict.outcome == "SAT"
-        witness = ""
-        if verdict.witness is not None:
-            witness = " witness=" + ",".join(f"{v:.9g}"
-                                             for v in verdict.witness)
         print(f"{query.label} {verdict.outcome} "
               f"iterations={verdict.iterations} splits={verdict.splits} "
-              f"time_ms={verdict.wall_time_ms:.1f}{witness}")
+              f"time_ms={verdict.wall_time_ms:.1f}{_witness_text(verdict)}")
         if args.log:
             logs.append(f"# query {query.label}\n" + events_to_text(log))
             Path(args.log).write_text("".join(logs))
@@ -106,15 +106,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    net = load_nnet(Path(args.net).read_text())
-    for query in _load_queries(args, net):
+    net, queries = _load_queries(args)
+    for query in queries:
         verdict = brute_force_verify(net, query)
-        witness = ""
-        if verdict.witness is not None:
-            witness = " witness=" + ",".join(f"{v:.9g}"
-                                             for v in verdict.witness)
         print(f"{query.label} {verdict.outcome} "
-              f"patterns={verdict.iterations}{witness}")
+              f"patterns={verdict.iterations}{_witness_text(verdict)}")
     return 0
 
 
@@ -124,11 +120,16 @@ def _suite_instances(args) -> list[SuiteInstance]:
         for net_path in sorted(Path(args.suite_dir).glob("*.nnet")):
             prop = net_path.with_suffix(".prop")
             if prop.exists():
-                instances.append(load_instance(net_path, prop))
+                try:
+                    instances.append(load_instance(net_path, prop))
+                except PropertyFormatError as err:
+                    raise SystemExit(f"cannot load {prop}: {err}") from None
+                except ValueError as err:  # NNetFormatError, bad layers
+                    raise SystemExit(f"cannot load {net_path}: {err}") from None
     if args.net:
-        net = load_nnet(Path(args.net).read_text())
+        net, queries = _load_queries(args)
         instances.extend(SuiteInstance(query_id=q.label, net=net, query=q)
-                         for q in _load_queries(args, net))
+                         for q in queries)
     if not instances:
         raise SystemExit("no instances (use --suite-dir, or --net with "
                          "--prop/--robust-manifest)")
@@ -137,10 +138,12 @@ def _suite_instances(args) -> list[SuiteInstance]:
 
 def cmd_bench(args) -> int:
     instances = _suite_instances(args)
+    budget = Budget(timeout_s=args.timeout_s,
+                    max_iterations=args.max_iterations, seed=args.seed)
     try:
-        records = run_suite(instances, args.strategies.split(","),
-                            _budget(args), args.workers, args.out,
-                            args.checkpoint, tighten=not args.no_tighten)
+        records = run_suite(instances, args.strategies.split(","), budget,
+                            args.workers, args.out, args.checkpoint,
+                            tighten=not args.no_tighten)
     except ValueError as err:  # raised before any job or output file
         raise SystemExit(f"--strategies {args.strategies}: {err}") from None
     for summary in aggregate(records, args.timeout_s * 1000.0):
@@ -223,12 +226,11 @@ def main(argv=None) -> int:
     p.add_argument("--checkpoint")
     p.add_argument("--log", help="write the event log here, each query's "
                    "headed by a '# query <label>' line")
-    _add_common(p)
+    _add_search_args(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("oracle", help="brute-force ground truth")
     _add_query_args(p, net_required=True)
-    _add_common(p)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("bench", help="run a suite of queries")
@@ -240,7 +242,8 @@ def main(argv=None) -> int:
     p.add_argument("--checkpoint")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0, help="records' seed label")
+    _add_search_args(p)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("train", help="train the splitting agent")
@@ -252,7 +255,8 @@ def main(argv=None) -> int:
     p.add_argument("--finetune-epochs", type=int, default=40)
     p.add_argument("--finetune-steps", type=int, default=1000)
     p.add_argument("--out", required=True)
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0, help="training's seed")
+    _add_search_args(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("report", help="aggregate a records CSV")

@@ -38,8 +38,7 @@ CSV_COLUMNS = ("query_id", "strategy", "verdict", "wall_time_ms",
                "iterations", "splits", "seed", "checkpoint")
 
 
-def brute_force_verify(net: Network, query: Query,
-                       max_relus: int = ORACLE_RELU_GUARD) -> Verdict:
+def brute_force_verify(net: Network, query: Query) -> Verdict:
     """Enumerate all activation patterns; SAT iff any pattern's exact LP is
     feasible together with the output constraints.
 
@@ -47,9 +46,9 @@ def brute_force_verify(net: Network, query: Query,
     ReLU, bit value 1 = active. iterations reports patterns checked.
     """
     relus = net.relu_ids()
-    if len(relus) > max_relus:
+    if len(relus) > ORACLE_RELU_GUARD:
         raise ValueError(f"{len(relus)} ReLUs exceed the oracle guard "
-                         f"({max_relus})")
+                         f"({ORACLE_RELU_GUARD})")
     n = net.input_dim
     t0 = time.monotonic()
     iterations = 0
@@ -103,16 +102,16 @@ class SuiteInstance:
     prop_path: Optional[Path] = None
 
 
-def gen_random_suite(seed: int, count: int, out_dir: str | Path | None = None,
-                     n_inputs: tuple[int, int] = (2, 5),
-                     n_relus: tuple[int, int] = (6, 12),
-                     sample_points: int = 800) -> list[SuiteInstance]:
+def gen_random_suite(
+        seed: int, count: int, out_dir: str | Path | None = None,
+        n_inputs: tuple[int, int] = (2, 5),
+        n_relus: tuple[int, int] = (6, 12)) -> list[SuiteInstance]:
     """Reproducible random networks with single-output threshold queries.
 
-    Thresholds are calibrated against sampled outputs so that roughly half
-    the instances are SAT: a coin picks either a threshold slightly above
-    the sampled minimum (a sampled witness guarantees SAT) or well below it
-    (UNSAT unless the sampling missed a deep minimum).
+    Thresholds are calibrated against 800 sampled outputs so that roughly
+    half the instances are SAT: a coin picks either a threshold slightly
+    above the sampled minimum (a sampled witness guarantees SAT) or well
+    below it (UNSAT unless the sampling missed a deep minimum).
     """
     rng = np.random.default_rng(seed)
     out = Path(out_dir) if out_dir is not None else None
@@ -139,7 +138,7 @@ def gen_random_suite(seed: int, count: int, out_dir: str | Path | None = None,
                             has_relu=False))
         net = Network(layers=tuple(layers), input_lower=-np.ones(n_in),
                       input_upper=np.ones(n_in))
-        xs = rng.uniform(-1.0, 1.0, size=(sample_points, n_in))
+        xs = rng.uniform(-1.0, 1.0, size=(800, n_in))
         ys = evaluate_batch(net, xs)[:, 0]
         lo, hi = float(ys.min()), float(ys.max())
         spread = max(hi - lo, 1e-6)

@@ -85,11 +85,9 @@ def polarity(a, b):
     return (a + b) / (b - a)
 
 
-def pseudo_impact_update(pi_old: float, delta: float, beta: float = PI_BETA) -> float:
-    """Exponential moving average of observed infeasibility change."""
-    if not 0.0 < beta < 1.0:
-        raise ValueError("beta must lie in (0, 1)")
-    return beta * pi_old + (1.0 - beta) * delta
+def pseudo_impact_update(pi_old: float, delta: float) -> float:
+    """Moving average of observed infeasibility change, PI_BETA on pi_old."""
+    return PI_BETA * pi_old + (1.0 - PI_BETA) * delta
 
 
 def babsr_scores(net: Network, bounds, phases: np.ndarray,
@@ -167,15 +165,15 @@ _SPLIT_RULES = {
 STATIC_STRATEGIES = tuple(_SPLIT_RULES)
 
 
-def select_split(node, strategy, rng, scores: HeuristicScores, net: Network,
+def select_split(node, strategy, scores: HeuristicScores, net: Network,
                  fctx=None):
-    """Pick the next SplitAction for a node.
+    """Pick the next SplitAction for a node; draws no random numbers.
 
     Nodes at depth <= INITIAL_SPLIT_DEPTH use the Pseudo-Impact rule no
     matter which strategy runs the search (shared initial policy). Static
-    strategies (STATIC_STRATEGIES) rank neurons only and take the
-    Inactive phase first by convention; a policy object with a ``choose``
-    method (the learned agent) picks both neuron and phase.
+    strategies (STATIC_STRATEGIES) rank neurons only and take the Inactive
+    phase first; a policy object (the learned agent) picks both neuron and
+    phase by ``choose(net, node, scores, fctx)``.
     """
     u = scores.unfixed
     if not len(u):
@@ -183,7 +181,7 @@ def select_split(node, strategy, rng, scores: HeuristicScores, net: Network,
     if node.depth <= INITIAL_SPLIT_DEPTH:
         rule = _SPLIT_RULES["pseudo-impact"]
     elif hasattr(strategy, "choose"):
-        return strategy.choose(net, node, scores, fctx, rng)
+        return strategy.choose(net, node, scores, fctx)
     elif strategy in _SPLIT_RULES:
         rule = _SPLIT_RULES[strategy]
     else:

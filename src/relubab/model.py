@@ -228,23 +228,20 @@ def load_nnet(text: str | Iterable[str]) -> Network:
                 no, f"expected {expected} values, found {len(vals)}")
         return vals
 
-    no, header = next_line()
-    toks = _split_values(header)
-    if len(toks) < 3:
-        raise NNetFormatError(no, "header needs numLayers, inputSize, outputSize")
-    try:
-        num_layers, input_size, output_size = (int(float(t)) for t in toks[:3])
-    except ValueError:
-        raise NNetFormatError(no, "non-numeric header entry") from None
-    if num_layers < 1 or input_size < 1 or output_size < 1:
-        raise NNetFormatError(no, "header counts must be positive")
+    # after floats(), pos is the number of the line it read
+    header = floats()
+    if len(header) < 3 or not all(v >= 1 and v.is_integer()
+                                  for v in header[:3]):
+        raise NNetFormatError(pos, "header needs numLayers, inputSize, "
+                                   "outputSize as positive integers")
+    num_layers, input_size, output_size = (int(v) for v in header[:3])
 
-    no, ln = next_line()
-    sizes = [int(float(t)) for t in _split_values(ln)]
-    if len(sizes) != num_layers + 1:
-        raise NNetFormatError(no, f"expected {num_layers + 1} layer sizes")
+    sizes = floats(num_layers + 1)
+    if not all(v >= 1 and v.is_integer() for v in sizes):
+        raise NNetFormatError(pos, "layer sizes must be positive integers")
+    sizes = [int(v) for v in sizes]
     if sizes[0] != input_size or sizes[-1] != output_size:
-        raise NNetFormatError(no, "layer sizes disagree with header")
+        raise NNetFormatError(pos, "layer sizes disagree with header")
 
     next_line()  # symmetric flag, unused
     mins = floats(input_size)

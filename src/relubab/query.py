@@ -33,8 +33,8 @@ class OutputConstraint:
     coeffs: np.ndarray
     bound: float
 
-    def satisfied(self, y: np.ndarray, tol: float = TOL_OUT) -> bool:
-        return float(self.coeffs @ y) <= self.bound + tol
+    def satisfied(self, y: np.ndarray) -> bool:
+        return float(self.coeffs @ y) <= self.bound + TOL_OUT
 
     def __str__(self) -> str:
         lhs = " ".join(f"{c:g}" for c in self.coeffs)
@@ -184,16 +184,16 @@ def make_robustness_queries(net: Network, x0: Sequence[float], delta: float,
     return queries
 
 
-def check_witness(net: Network, q: Query, x: Sequence[float] | np.ndarray,
-                  tol_box: float = TOL_BOX, tol_out: float = TOL_OUT) -> bool:
+def check_witness(net: Network, q: Query,
+                  x: Sequence[float] | np.ndarray) -> bool:
     """True iff x lies in the query box and satisfies every constraint."""
     x = np.asarray(x, dtype=float)
     if x.shape != (q.input_dim,):
         return False
-    if np.any(x < q.input_lower - tol_box) or np.any(x > q.input_upper + tol_box):
+    if np.any(x < q.input_lower - TOL_BOX) or np.any(x > q.input_upper + TOL_BOX):
         return False
     y = evaluate(net, x)
-    return all(c.satisfied(y, tol_out) for c in q.constraints)
+    return all(c.satisfied(y) for c in q.constraints)
 
 
 def load_robustness_manifest(text: str) -> list[tuple[np.ndarray, float]]:

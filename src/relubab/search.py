@@ -37,8 +37,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .heuristics import PI_BETA, STATIC_STRATEGIES, SplitAction, \
-    compute_scores, pseudo_impact_update, relu_soi, select_split, soi_total
+from .heuristics import STATIC_STRATEGIES, SplitAction, compute_scores, \
+    pseudo_impact_update, relu_soi, select_split, soi_total
 from .model import Network, NeuronId
 from .numeric import SAT_SOI_TOL, _CONFLICT_EPS, BoundsMap, Conflict, Phase, \
     propagate_intervals, solve_relaxation, tighten_bounds_lp
@@ -47,6 +47,9 @@ from .query import Query, Verdict, check_witness
 
 @dataclass
 class Budget:
+    """Limits of one verify call. ``seed`` only labels a ``RunRecord``: the
+    search draws no random numbers."""
+
     timeout_s: float = 3600.0
     max_iterations: int = 10 ** 9
     seed: int = 0
@@ -300,7 +303,6 @@ class _Engine:
         self.force = list(force_first or [])
         self.events = event_sink if event_sink is not None else []
         self.collector = collector
-        self.rng = np.random.default_rng(budget.seed)
         self.out_direction = np.sum([c.coeffs for c in query.constraints],
                                     axis=0)
         self.pi_table = np.zeros(net.num_relus)
@@ -336,7 +338,7 @@ class _Engine:
             delta = abs(parent.soi - child_soi)
             u = self.net.relu_index(action.neuron)
             self.pi_table[u] = pseudo_impact_update(
-                float(self.pi_table[u]), delta, PI_BETA)
+                float(self.pi_table[u]), delta)
         return node
 
     def _init_pi(self, root: NodeState):
@@ -350,8 +352,8 @@ class _Engine:
         if self.force:
             action = self.force.pop(0)
         else:
-            action = select_split(node, self.strategy, self.rng, scores,
-                                  net=self.net, fctx=self.fctx)
+            action = select_split(node, self.strategy, scores, net=self.net,
+                                  fctx=self.fctx)
         self.splits += 1
         self.fctx.running_max_splits = self.splits
         self.events.append(SplitEvent(node_id=node.node_id,
@@ -408,8 +410,9 @@ def verify(net: Network, query: Query, strategy="babsr",
     """Decide a query by branch-and-bound under the given splitting strategy.
 
     ``strategy`` is one of ``STATIC_STRATEGIES`` or a policy object with a
-    ``choose`` method; anything else raises ValueError before the search
-    starts. ``force_first`` overrides the first decisions (testing hook).
+    ``choose(net, node, scores, fctx)`` method; anything else raises
+    ValueError before the search starts. No result depends on
+    ``budget.seed``. ``force_first`` overrides the first decisions.
     ``event_log``, when a list, receives the event records of the run.
     """
     if not (hasattr(strategy, "choose") or strategy in STATIC_STRATEGIES):

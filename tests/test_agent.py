@@ -163,6 +163,15 @@ class TestAct:
         with pytest.raises(ValueError):
             act(qnet, state, 1.5, rng)
 
+    def test_exploring_policy_needs_a_generator(self):
+        # verification passes no generator: an exploring AgentPolicy
+        # brings its own, and a greedy one draws nothing
+        qnet = QNet.create(np.random.default_rng(8))
+        with pytest.raises(ValueError, match="needs rng"):
+            AgentPolicy(qnet, epsilon=0.1)
+        AgentPolicy(qnet, epsilon=0.1, rng=np.random.default_rng(0))
+        AgentPolicy(qnet)
+
 
 class TestSchedules:
     def test_epsilon_start(self):

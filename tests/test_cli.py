@@ -70,6 +70,46 @@ def test_oracle_command(toy_files, capsys):
     assert "SAT" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command, option", [
+    ("oracle", ["--no-tighten"]), ("oracle", ["--seed", "3"]),
+    ("oracle", ["--timeout-s", "5"]), ("oracle", ["--max-iterations", "5"]),
+    ("verify", ["--seed", "1"]),
+], ids=["oracle-no-tighten", "oracle-seed", "oracle-timeout-s",
+        "oracle-max-iterations", "verify-seed"])
+def test_commands_reject_options_they_do_not_read(toy_files, capsys, command,
+                                                  option):
+    net, prop = toy_files
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--net", str(net), "--prop", str(prop), *option])
+    assert exc.value.code == 2  # argparse's usage error
+    assert f"unrecognized arguments: {' '.join(option)}" \
+        in capsys.readouterr().err
+
+
+# a network cut after its header lines, and a property with a bad keyword
+TRUNCATED_NET = "".join(emit_nnet(toy_network()).splitlines(True)[:5])
+BAD_PROP = "output 1 <= 0\n"
+
+
+@pytest.mark.parametrize("command, suite_dir, target, text", [
+    ("verify", False, "toy.nnet", TRUNCATED_NET),
+    ("oracle", False, "toy.nnet", TRUNCATED_NET),
+    ("bench", True, "toy.nnet", TRUNCATED_NET),
+    ("bench", True, "toy.prop", BAD_PROP),
+], ids=["verify-net", "oracle-net", "bench-suite-net", "bench-suite-prop"])
+def test_malformed_inputs_exit_with_one_line(toy_files, command, suite_dir,
+                                             target, text):
+    net, prop = toy_files
+    (net.parent / target).write_text(text)
+    args = ["--suite-dir", str(net.parent)] if suite_dir \
+        else ["--net", str(net), "--prop", str(prop)]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *args])
+    message = str(exc.value.code)
+    assert str(net.parent / target) in message and "line" in message
+    assert "\n" not in message
+
+
 def test_gen_bench_report_pipeline(tmp_path, capsys):
     suite = tmp_path / "suite"
     out = tmp_path / "out"

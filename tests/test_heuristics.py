@@ -122,24 +122,21 @@ class TestBabsrScores:
 
 
 class TestPseudoImpact:
+    # PI_BETA = 0.5 weighs the old value and the new change equally
     def test_basic_update(self):
-        assert pseudo_impact_update(0.0, 1.0, 0.5) == 0.5
+        assert pseudo_impact_update(0.0, 1.0) == 0.5
 
     def test_fixpoint(self):
-        assert pseudo_impact_update(0.7, 0.7, 0.5) == pytest.approx(0.7)
+        assert pseudo_impact_update(0.7, 0.7) == pytest.approx(0.7)
 
     def test_decay(self):
-        assert pseudo_impact_update(0.5, 0.0, 0.5) == 0.25
-
-    def test_beta_range(self):
-        with pytest.raises(ValueError):
-            pseudo_impact_update(0.0, 1.0, 1.0)
+        assert pseudo_impact_update(0.5, 0.0) == 0.25
 
     def test_stays_nonnegative(self):
         rng = np.random.default_rng(3)
         pi = 0.3
         for _ in range(200):
-            pi = pseudo_impact_update(pi, abs(rng.normal()), 0.5)
+            pi = pseudo_impact_update(pi, abs(rng.normal()))
             assert pi >= 0.0
 
 
@@ -156,7 +153,7 @@ def node_at(depth):
 
 
 def split(depth, strategy, scores):
-    return select_split(node_at(depth), strategy, None, scores, TOY)
+    return select_split(node_at(depth), strategy, scores, TOY)
 
 
 class TestSelectSplit:
@@ -212,7 +209,7 @@ class TestSelectSplit:
 
     def test_policy_object_chooses_beyond_initial_depth(self):
         class FakePolicy:
-            def choose(self, net, node, scores, fctx, rng):
+            def choose(self, net, node, scores, fctx):
                 return SplitAction(N2, Phase.ACTIVE)
 
         scores = scores_of([0, 1], pi=(1.0, 0.0))

@@ -77,6 +77,22 @@ class TestLoadNNet:
         with pytest.raises(NNetFormatError):
             load_nnet(bad)
 
+    @pytest.mark.parametrize("header, sizes, reason", [
+        ("2,2,1,3,", "2,x,1,", "line 3: non-numeric token"),
+        ("2,2,1,3,", "2,inf,1,", "line 3: layer sizes must be positive int"),
+        ("2,2,1,3,", "2,0,1,", "line 3: layer sizes must be positive int"),
+        ("2,2,1,3,", "2,-3,1,", "line 3: layer sizes must be positive int"),
+        ("2,2,1,3,", "2,1.5,1,", "line 3: layer sizes must be positive int"),
+        ("2,2,1,3,", "2,3,", "line 3: expected 3 values, found 2"),
+        ("inf,2,1,3,", "2,3,1,", "line 2: header needs numLayers"),
+        ("2,x,1,3,", "2,3,1,", "line 2: non-numeric token"),
+    ], ids=["non-numeric", "infinite", "zero", "negative", "fractional",
+            "too-few", "header-infinite", "header-non-numeric"])
+    def test_bad_layer_sizes_report_line(self, header, sizes, reason):
+        bad = SIMPLE_231.replace("2,2,1,3,", header).replace("2,3,1,", sizes)
+        with pytest.raises(NNetFormatError, match=reason):
+            load_nnet(bad)
+
     def test_truncated_file(self):
         with pytest.raises(NNetFormatError):
             load_nnet(SIMPLE_231.splitlines()[0:6])

@@ -40,13 +40,24 @@ def _add_query_args(p: argparse.ArgumentParser, net_required: bool):
                         "input normalization before building queries")
 
 
+def _read(path: str) -> str:
+    """The text of an input file; one that cannot be read exits with a
+    one-line message naming it."""
+    try:
+        return Path(path).read_text()
+    except OSError as err:  # missing file, a directory, no permission
+        raise SystemExit(f"cannot read {path}: {err.strerror or err}") \
+            from None
+
+
 def _load_queries(args) -> tuple[Network, list]:
     """The --net network and its queries from --prop and --robust-manifest,
     shared by every command that takes --net so that all honour
-    --normalize-inputs. A malformed network, or a property or manifest
-    that yields no valid query, exits with a one-line message."""
+    --normalize-inputs. A file that cannot be read, a malformed network, or
+    a property or manifest that yields no valid query, exits with a
+    one-line message."""
     try:
-        net = load_nnet(Path(args.net).read_text())
+        net = load_nnet(_read(args.net))
     except ValueError as err:  # NNetFormatError, inconsistent layers
         raise SystemExit(f"cannot load {args.net}: {err}") from None
     if not (args.prop or args.robust_manifest):
@@ -54,12 +65,11 @@ def _load_queries(args) -> tuple[Network, list]:
     queries = []
     try:
         if args.prop:
-            text = Path(args.prop).read_text()
+            text = _read(args.prop)
             queries.append(parse_property(text, net,
                                           label=Path(args.prop).stem))
         if args.robust_manifest:
-            rows = load_robustness_manifest(
-                Path(args.robust_manifest).read_text())
+            rows = load_robustness_manifest(_read(args.robust_manifest))
             for i, (x0, delta) in enumerate(rows):
                 if args.normalize_inputs:
                     x0 = net.normalize_input(x0)

@@ -8,9 +8,11 @@ Three layers of machinery live here:
   anti-cycling rule, supporting warm-started re-optimization of the same
   system under many objectives; its tableau holds only the columns that
   can enter the basis, and it takes exactly the pivots of textbook Bland
-  on the full tableau;
+  on the full tableau. ``column_bounds`` finds the minimum and maximum of
+  many columns at once: one phase 2 per bound, each from the phase-1
+  basis, all pivoting together on a stack of tableaux;
 * construction of a node's triangle LP relaxation and LP-based bound
-  tightening on top of it.
+  tightening on top of it, one ``column_bounds`` call per node.
 
 A node's phases are one int8 vector in ``Network.relu_ids()`` order,
 holding ``Phase`` codes; its pre- and post-activation bounds are flat
@@ -165,35 +167,18 @@ def propagate_intervals(net: Network,
 # triangle relaxation
 
 
-@dataclass(frozen=True)
-class TriangleRelaxation:
-    """Rows (c_pre, c_post, rhs) meaning c_pre*pre + c_post*post <= rhs;
-    each entry is a scalar or an array over neurons."""
+def triangle_relaxation(a, b) -> tuple[tuple, tuple]:
+    """The two rows (c_pre, c_post, rhs), meaning c_pre*pre + c_post*post
+    <= rhs, that with the box post >= 0 make the convex hull of the ReLU
+    graph over pre-activation interval [a, b]; elementwise on arrays.
 
-    rows: tuple[tuple, ...]
-    slope: float | np.ndarray
-
-    def satisfied(self, pre, post, tol: float = 1e-12) -> bool:
-        return all(np.all(cp * pre + ca * post <= rhs + tol)
-                   for cp, ca, rhs in self.rows)
-
-
-def triangle_relaxation(a, b) -> TriangleRelaxation:
-    """Convex hull of the ReLU graph over pre-activation interval [a, b];
-    elementwise on arrays.
-
-    post >= 0, post >= pre, post <= (b/(b-a)) * (pre - a). Only unfixed
-    neurons (a < 0 < b) may be relaxed.
+    The rows are post >= pre and post <= (b/(b-a)) * (pre - a). Only
+    unfixed neurons (a < 0 < b) may be relaxed.
     """
     if not np.logical_and(a < 0.0, 0.0 < b).all():
         raise ValueError(f"triangle relaxation needs a < 0 < b, got [{a}, {b}]")
     slope = b / (b - a)
-    rows = (
-        (0.0, -1.0, 0.0),
-        (1.0, -1.0, 0.0),
-        (-slope, 1.0, -slope * a),
-    )
-    return TriangleRelaxation(rows=rows, slope=slope)
+    return (1.0, -1.0, 0.0), (-slope, 1.0, -slope * a)
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +215,8 @@ class BoundedSimplex:
     maintained explicitly, which is plenty at desk scale and keeps pivots
     O(m*n). After find_feasible(), optimize() may be called repeatedly with
     different objectives; each call restarts phase 2 from the current basis.
+    column_bounds() instead bounds many columns, each from the phase-1
+    basis.
 
     The tableau ``T`` holds only the columns that can ever enter the basis
     (``up > lo``), listed in ascending order by ``cols``: pinned structurals
@@ -241,6 +228,7 @@ class BoundedSimplex:
     """
 
     _LOWER, _UPPER, _BASIC = 0, 1, 2
+    _DANTZIG_STEPS = 50  # column_bounds: most negative reduced cost, then Bland
 
     def __init__(self, problem: LPProblem):
         lower = np.asarray(problem.lower, dtype=float)
@@ -430,6 +418,125 @@ class BoundedSimplex:
         x = self.solution()
         return float(np.asarray(c_struct, dtype=float) @ x)
 
+    def column_bounds(self, cols) -> tuple[np.ndarray, np.ndarray]:
+        """Minimum and maximum of each structural column in ``cols`` over
+        the feasible set, every one from the phase-1 basis.
+
+        The ``2 * len(cols)`` objectives ``+-e_col`` run phase 2 together on
+        a stack of copies of the phase-1 state, so a step makes one set of
+        array calls for the whole stack rather than one per objective. A step
+        enters the most negative signed reduced cost, and after
+        ``_DANTZIG_STEPS`` steps Bland's lowest eligible index, which cannot
+        cycle. A unit objective prices from the one row where its column is
+        basic. The ratio test and the leaving row are ``_iterate``'s; a
+        leaving row is bounded, so its pivot exceeds ``_PIVOT_EPS``. An
+        objective leaves the stack once nothing is eligible, and its value
+        is read from its column. Each objective keeps the pivot cap and
+        raises as ``_iterate`` does. The basis of ``self`` does not change.
+        """
+        if not self._feasible:
+            raise LPError(
+                "column_bounds() before a successful find_feasible()")
+        cols = np.asarray(cols, dtype=int)
+        lo, up, movable = self.lo, self.up, self.cols
+        m, k = self.T.shape
+        if not (m and k):  # nothing to pivot: each column spans its box
+            return lo[cols].copy(), up[cols].copy()
+        # every column's tableau index, or the spare slot k for one that
+        # cannot move: a leaving artificial writes its direction there, and
+        # a pinned column reads one that does not matter (lo == up)
+        slot = np.where(self._pos >= 0, self._pos, k)
+        lo_m, up_m, width = lo[movable], up[movable], (up - lo)[movable]
+        st = self.status[movable]
+        sgn0 = np.zeros(k + 1)
+        sgn0[:k] = (st == self._LOWER).astype(float) - (st == self._UPPER)
+        # objective i minimizes s[i] * x[obj[i]]; the first ``na`` stack
+        # entries are the objectives still running, ids their places
+        obj = np.concatenate([cols, cols])
+        s = np.repeat([1.0, -1.0], cols.size)
+        ids = np.arange(obj.size)
+        T, beta, basis, sgn = (np.repeat(a[None], obj.size, axis=0)
+                               for a in (self.T, self.beta, self.basis, sgn0))
+        state = (T, beta, basis, sgn, obj, s, ids)
+        values = np.empty(obj.size)
+        big = np.iinfo(basis.dtype).max
+        na, step, ar = obj.size, 0, np.arange(obj.size)
+        while True:
+            step += 1
+            if step > self.cap:
+                raise LPIterationError(f"simplex exceeded {self.cap} pivots")
+            # signed reduced costs: -s * sgn * T[rb] where the objective's
+            # column is basic in row rb, else s * sgn at that column alone
+            bas, Ta = basis[:na], T[:na]
+            hit = bas == obj[:na, None]
+            rb = hit.argmax(axis=1)
+            basic = hit[ar, rb]
+            d = Ta[ar, rb]
+            d *= np.where(basic, -s[:na], 0.0)[:, None]
+            d *= sgn[:na, :k]
+            if not basic.all():
+                off = (~basic & (slot[obj[:na]] < k)).nonzero()[0]
+                e = slot[obj[off]]
+                d[off, e] = s[off] * sgn[off, e]
+            if step <= self._DANTZIG_STEPS:
+                kk = d.argmin(axis=1)
+            else:
+                kk = (d < -TOL_LP).argmax(axis=1)
+            done = ~(d[ar, kk] < -TOL_LP)
+            if done.any():
+                fin = done.nonzero()[0]
+                col = obj[fin]
+                x = np.where(sgn[fin, slot[col]] > 0, lo[col], up[col])
+                values[ids[fin]] = np.where(basic[fin], beta[fin, rb[fin]], x)
+                na -= fin.size
+                if not na:
+                    break
+                # move running objectives from the tail into the holes
+                holes = fin[fin < na]
+                if holes.size:
+                    fill = na + (~done[na:]).nonzero()[0]
+                    for a in state:
+                        a[holes] = a[fill]
+                    kk[holes] = kk[fill]
+                ar, kk, bas, Ta = ar[:na], kk[:na], basis[:na], T[:na]
+            # ratio test, as in _iterate
+            delta = sgn[ar, kk]
+            colv = Ta[ar, :, kk]
+            rate = colv * -delta[:, None]
+            arate = np.abs(rate)
+            num = np.where(rate > _PIVOT_EPS, up[bas] - beta[:na],
+                           beta[:na] - lo[bas])
+            limits = np.full((na, m), np.inf)
+            np.divide(num, arate, out=limits, where=arate > _PIVOT_EPS)
+            np.maximum(0.0, limits, out=limits)
+            tie = limits.min(axis=1) + _RATIO_TIE
+            t_self = width[kk]
+            flip = t_self <= tie
+            r = np.where(limits <= tie[:, None], bas, big).argmin(axis=1)
+            p = ar
+            if flip.any():  # bound flips: no basis change
+                f = flip.nonzero()[0]
+                if np.isinf(t_self[f]).any():
+                    j = movable[kk[f][np.isinf(t_self[f])][0]]
+                    raise LPUnboundedError(
+                        f"objective unbounded on column {j}")
+                sgn[f, kk[f]] = -delta[f]
+                p = (~flip).nonzero()[0]
+            t = np.where(flip, t_self, limits[ar, r])
+            beta[:na] += rate * t[:, None]
+            rp, kp, dp = r[p], kk[p], delta[p]
+            sgn[p, slot[bas[p, rp]]] = np.where(rate[p, rp] < 0, 1.0, -1.0)
+            beta[p, rp] = np.where(dp > 0, lo_m[kp], up_m[kp]) + dp * t[p]
+            sgn[p, kp] = 0.0
+            basis[p, rp] = movable[kp]
+            trow = np.zeros((na, k))
+            trow[p] = Ta[p, rp] / colv[p, rp][:, None]
+            colv[p, rp] = 0.0  # rank-1 update eliminates column kp elsewhere
+            Ta -= np.einsum("ij,ik->ijk", colv, trow)
+            Ta[p, rp] = trow[p]
+        q = cols.size
+        return values[:q], values[q:]
+
     def _full_solution(self) -> np.ndarray:
         x = np.where(self.status == self._UPPER, self.up, self.lo)
         x[self.basis] = self.beta
@@ -523,12 +630,12 @@ def build_relaxation(net: Network, bounds: BoundsMap, phases: np.ndarray,
     vmap = VarMap(x=slice(0, net.input_dim), pre=pre, post=post, y=y,
                   n_vars=n_vars)
 
-    relax = triangle_relaxation(lo[tri], up[tri])
     n_tri = 2 * tri.size
     a_ub = np.zeros((n_tri + len(output_constraints), n_vars))
     b_ub = np.empty(a_ub.shape[0])
     # two rows per neuron; post >= 0 is the box
-    for j, (c_pre, c_post, c_rhs) in enumerate(relax.rows[1:]):
+    for j, (c_pre, c_post, c_rhs) in enumerate(
+            triangle_relaxation(lo[tri], up[tri])):
         rows = a_ub[j:n_tri:2]
         rows[np.arange(tri.size), pre[tri]] = c_pre
         rows[np.arange(tri.size), post[tri]] = c_post
@@ -600,23 +707,21 @@ def tighten_bounds_lp(net: Network, bounds: BoundsMap, phases: np.ndarray,
     """Min/max every input and every unfixed pre-activation over the node's
     LP relaxation, intersecting with the incoming bounds (never widens).
 
-    Raises Conflict when the relaxation is infeasible. Tightened values are
-    inflated by a tiny safety margin so later exact comparisons stay sound.
+    One phase 1, then one ``column_bounds`` call: every bound is an optimum
+    reached from the phase-1 basis, so none depends on which bounds were
+    computed before it. Raises Conflict when the relaxation is infeasible.
+    Tightened values are inflated by a tiny safety margin so later exact
+    comparisons stay sound.
     """
     problem, vmap = build_relaxation(net, bounds, phases, output_constraints)
     sx = BoundedSimplex(problem)
     if not sx.find_feasible():
         raise Conflict("node relaxation infeasible")
     unfixed = (phases == Phase.UNFIXED.value).nonzero()[0]
-    # one basis for every objective, so the order of the columns matters
-    cols = np.concatenate([np.arange(net.input_dim), vmap.pre[unfixed]])
-    lo, hi = np.empty(cols.size), np.empty(cols.size)
-    c = np.zeros(vmap.n_vars)
-    for j, col in enumerate(cols):
-        c[col] = 1.0
-        lo[j] = sx.optimize(c) - _BOUND_SAFETY
-        hi[j] = sx.optimize(c, maximize=True) + _BOUND_SAFETY
-        c[col] = 0.0
+    lo, hi = sx.column_bounds(
+        np.concatenate([np.arange(net.input_dim), vmap.pre[unfixed]]))
+    lo -= _BOUND_SAFETY
+    hi += _BOUND_SAFETY
     # intersect; np.where keeps the old bound on a tie, as max()/min() do
     old_lo = np.concatenate([bounds.input_lower, bounds.pre_lower[unfixed]])
     old_hi = np.concatenate([bounds.input_upper, bounds.pre_upper[unfixed]])

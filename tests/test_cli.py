@@ -110,6 +110,23 @@ def test_malformed_inputs_exit_with_one_line(toy_files, command, suite_dir,
     assert "\n" not in message
 
 
+@pytest.mark.parametrize("command", ["verify", "oracle", "bench", "train"])
+@pytest.mark.parametrize("option", ["--net", "--prop", "--robust-manifest"])
+def test_missing_inputs_exit_with_one_line(toy_files, tmp_path, command,
+                                           option):
+    net, prop = toy_files
+    missing = str(tmp_path / "nope.txt")
+    paths = {"--net": str(net), "--prop": str(prop), option: missing}
+    args = [command, *(word for pair in paths.items() for word in pair)]
+    if command == "train":
+        args += ["--out", str(tmp_path / "agent")]
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    message = str(exc.value.code)
+    assert message.startswith(f"cannot read {missing}: ")
+    assert "\n" not in message
+
+
 def test_gen_bench_report_pipeline(tmp_path, capsys):
     suite = tmp_path / "suite"
     out = tmp_path / "out"

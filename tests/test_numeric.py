@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -83,18 +85,23 @@ class TestPropagateIntervals:
         assert checked > 10_000
 
 
+def _within(rows, pre, post, tol: float = 1e-12) -> bool:
+    """Whether (pre, post) satisfies every row (c_pre, c_post, rhs)."""
+    return all(np.all(cp * pre + ca * post <= rhs + tol)
+               for cp, ca, rhs in rows)
+
+
 class TestTriangleRelaxation:
     def test_symmetric_interval(self):
-        tri = triangle_relaxation(-1.0, 1.0)
-        assert tri.slope == 0.5
-        # upper constraint is post <= 0.5 * (pre + 1)
-        assert tri.rows[2] == (-0.5, 1.0, 0.5)
+        # post >= pre, and post <= 0.5 * (pre + 1)
+        assert triangle_relaxation(-1.0, 1.0) == ((1.0, -1.0, 0.0),
+                                                  (-0.5, 1.0, 0.5))
 
     def test_point_inside(self):
-        assert triangle_relaxation(-1, 1).satisfied(0.0, 0.5)
+        assert _within(triangle_relaxation(-1, 1), 0.0, 0.5)
 
     def test_point_violates_upper(self):
-        assert not triangle_relaxation(-1, 1).satisfied(-1.0, 0.1)
+        assert not _within(triangle_relaxation(-1, 1), -1.0, 0.1)
 
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
@@ -107,21 +114,20 @@ class TestTriangleRelaxation:
         for _ in range(20):
             a = -float(rng.uniform(0.1, 5))
             b = float(rng.uniform(0.1, 5))
-            tri = triangle_relaxation(a, b)
+            rows = triangle_relaxation(a, b)
             for pre in rng.uniform(a, b, size=100):
-                assert tri.satisfied(float(pre), max(0.0, float(pre)),
-                                     tol=1e-9)
+                assert _within(rows, float(pre), max(0.0, float(pre)),
+                               tol=1e-9)
 
     def test_elementwise(self):
         a, b = np.array([-1.0, -3.0]), np.array([1.0, 0.5])
-        tri = triangle_relaxation(a, b)
+        rows = triangle_relaxation(a, b)
         for i in range(2):
             one = triangle_relaxation(a[i], b[i])
-            assert tri.slope[i] == one.slope
             assert [tuple(np.broadcast_to(v, 2)[i] for v in row)
-                    for row in tri.rows] == list(one.rows)
-        assert tri.satisfied(np.array([0.0, 0.0]), np.array([0.5, 0.4]))
-        assert not tri.satisfied(np.array([0.0, 0.0]), np.array([0.5, 0.5]))
+                    for row in rows] == list(one)
+        assert _within(rows, np.array([0.0, 0.0]), np.array([0.5, 0.4]))
+        assert not _within(rows, np.array([0.0, 0.0]), np.array([0.5, 0.5]))
         with pytest.raises(ValueError):
             triangle_relaxation(a, np.array([1.0, -0.5]))
 
@@ -266,6 +272,34 @@ class TestTightenBounds:
             assert (tightened.pre_lower >= bounds.pre_lower - 1e-12).all()
             assert (tightened.pre_upper <= bounds.pre_upper + 1e-12).all()
 
+    def test_column_order_changes_no_bit(self, monkeypatch):
+        # every bound starts from the phase-1 basis, so solving the
+        # objectives in another order gives the same bits
+        rng = np.random.default_rng(12)
+        cases = []
+        for _ in range(25):
+            net = make_random_net(rng)
+            phases = phase_vector(net)
+            cases.append((net, phases, propagate_intervals(
+                net, net.input_lower, net.input_upper, phases)))
+        before = [tighten_bounds_lp(net, bounds, phases)
+                  for net, phases, bounds in cases]
+        column_bounds = BoundedSimplex.column_bounds
+
+        def shuffled(sx, cols):
+            order = rng.permutation(len(cols))
+            lo, hi = np.empty(len(cols)), np.empty(len(cols))
+            lo[order], hi[order] = column_bounds(sx, cols[order])
+            return lo, hi
+
+        monkeypatch.setattr(BoundedSimplex, "column_bounds", shuffled)
+        for (net, phases, bounds), want in zip(cases, before):
+            got = tighten_bounds_lp(net, bounds, phases)
+            for name in ("input_lower", "input_upper", "pre_lower",
+                         "pre_upper"):
+                assert getattr(got, name).tobytes() == \
+                    getattr(want, name).tobytes()
+
 
 class TestSolveRelaxation:
     def test_objective_is_worst_total_error(self, toy, toy_query):
@@ -354,6 +388,66 @@ class TestSimplexKernel:
             x = sx.solution()
             assert x[0] == 0.7
             assert x[1] == pytest.approx(0.5, abs=1e-12)
+
+
+class TestColumnBounds:
+    def test_pivot_cap_raises(self):
+        # max x0 pivots once, then one more step finds nothing eligible
+        sx = BoundedSimplex(TestSimplexKernel.STAIRS)
+        assert sx.find_feasible()
+        sx.cap = 1
+        with pytest.raises(LPIterationError):
+            sx.column_bounds([0])
+        sx.cap = 2
+        lo, hi = sx.column_bounds([0])
+        assert (lo.tolist(), hi.tolist()) == ([0.0], [1.0])
+
+    def test_pinned_column_gives_its_value(self):
+        # x0 is pinned at 0.7, so x0 + x1 = 1.2 pins x1 at 0.5
+        problem = LPProblem(lower=np.array([0.7, 0.0]),
+                            upper=np.array([0.7, 5.0]),
+                            a_eq=np.array([[1.0, 1.0]]),
+                            b_eq=np.array([1.2]))
+        sx = BoundedSimplex(problem)
+        assert sx.find_feasible()
+        lo, hi = sx.column_bounds([0, 1])
+        assert (lo[0], hi[0]) == (0.7, 0.7)
+        assert lo[1] == pytest.approx(0.5, abs=1e-12)
+        assert hi[1] == pytest.approx(0.5, abs=1e-12)
+
+    def test_no_movable_column(self):
+        sx = BoundedSimplex(LPProblem(lower=np.array([1.0, 2.0]),
+                                      upper=np.array([1.0, 2.0]),
+                                      a_eq=np.array([[1.0, 1.0]]),
+                                      b_eq=np.array([3.0])))
+        assert sx.find_feasible()
+        assert sx.cols.size == 0
+        lo, hi = sx.column_bounds([1, 0])
+        assert lo.tolist() == hi.tolist() == [2.0, 1.0]
+
+    def test_objective_column_basic_at_start(self):
+        # phase 1 makes x0 basic in x0 + x1 = 1; x1 in [0, 2] leaves
+        # x0 in [-1, 1], cut to [0, 1] by its box
+        sx = BoundedSimplex(LPProblem(lower=np.zeros(2),
+                                      upper=np.full(2, 2.0),
+                                      a_eq=np.array([[1.0, 1.0]]),
+                                      b_eq=np.array([1.0])))
+        assert sx.find_feasible()
+        assert sx.basis.tolist() == [0]
+        lo, hi = sx.column_bounds([0, 1])
+        assert lo.tolist() == [0.0, 0.0]
+        assert hi.tolist() == [1.0, 1.0]
+        assert sx.basis.tolist() == [0]  # the phase-1 basis is kept
+
+    def test_needs_feasible_basis(self):
+        with pytest.raises(LPError):
+            BoundedSimplex(TestSimplexKernel.STAIRS).column_bounds([0])
+        infeasible = BoundedSimplex(LPProblem(
+            lower=np.zeros(1), upper=np.ones(1),
+            a_ub=np.array([[-1.0]]), b_ub=np.array([-2.0])))
+        assert not infeasible.find_feasible()
+        with pytest.raises(LPError):
+            infeasible.column_bounds([0])
 
 
 # ---------------------------------------------------------------------------
@@ -448,8 +542,8 @@ class TestSimplexAgainstHighs:
               suppress_health_check=[HealthCheck.too_slow])
     @given(relaxation_lps())
     def test_min_max_sequence_on_one_basis(self, case):
-        # the optimize sequence of tighten_bounds_lp: min then max of every
-        # input and every pre-activation, all from the same basis
+        # optimize restarts phase 2 from the basis the last call left: min
+        # then max of every input and every pre-activation in turn
         net, problem, vmap = case
         feasible, _ = _highs(problem, np.zeros(vmap.n_vars))
         sx = BoundedSimplex(problem)
@@ -465,3 +559,27 @@ class TestSimplexAgainstHighs:
             assert sx.optimize(c) == pytest.approx(lo, abs=1e-6)
             assert sx.optimize(c, maximize=True) == pytest.approx(
                 -neg_hi, abs=1e-6)
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(relaxation_lps())
+    def test_column_bounds(self, case):
+        # every input and pre-activation: HiGHS's min and max, and the
+        # values optimize() reaches from its own copy of the phase-1 basis
+        net, problem, vmap = case
+        sx = BoundedSimplex(problem)
+        if not sx.find_feasible():
+            return
+        cols = np.array([*range(net.input_dim), *vmap.pre])
+        lo, hi = sx.column_bounds(cols)
+        for col, col_lo, col_hi in zip(cols, lo, hi):
+            c = np.zeros(vmap.n_vars)
+            c[col] = 1.0
+            _, best = _highs(problem, c)
+            _, neg_best = _highs(problem, -c)
+            assert col_lo == pytest.approx(best, abs=1e-6)
+            assert col_hi == pytest.approx(-neg_best, abs=1e-6)
+            assert col_lo == pytest.approx(
+                copy.deepcopy(sx).optimize(c), abs=1e-9)
+            assert col_hi == pytest.approx(
+                copy.deepcopy(sx).optimize(c, maximize=True), abs=1e-9)

@@ -208,10 +208,6 @@ class QNet:
             w -= lr * dw
             b -= lr * db
 
-    def zero_gradients(self):
-        return [(np.zeros_like(w), np.zeros_like(b))
-                for w, b in zip(self.weights, self.biases)]
-
     def flatten(self) -> np.ndarray:
         return np.concatenate([a.ravel() for pair in zip(self.weights, self.biases)
                                for a in pair])
@@ -816,7 +812,8 @@ def save_checkpoint(path: str | Path, qnet: QNet, config: TrainerConfig):
 
 
 def load_checkpoint(path: str | Path) -> QNet:
-    """A v2 checkpoint's network; ValueError names a bad file."""
+    """A v2 checkpoint's network; ValueError names a bad file, and a file
+    that cannot be read raises its OSError."""
     try:
         return _parse_checkpoint(Path(path).read_text().splitlines())
     except (IndexError, ValueError) as err:  # IndexError: missing line

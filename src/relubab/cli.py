@@ -40,14 +40,18 @@ def _add_query_args(p: argparse.ArgumentParser, net_required: bool):
                         "input normalization before building queries")
 
 
+def _unreadable(path, err: OSError) -> SystemExit:
+    """The one-line exit for an input file that cannot be read."""
+    return SystemExit(f"cannot read {path}: {err.strerror or err}")
+
+
 def _read(path: str) -> str:
     """The text of an input file; one that cannot be read exits with a
     one-line message naming it."""
     try:
         return Path(path).read_text()
     except OSError as err:  # missing file, a directory, no permission
-        raise SystemExit(f"cannot read {path}: {err.strerror or err}") \
-            from None
+        raise _unreadable(path, err) from None
 
 
 def _load_queries(args) -> tuple[Network, list]:
@@ -95,6 +99,8 @@ def cmd_verify(args) -> int:
         strategy = make_strategy(args.strategy, args.checkpoint)
     except ValueError as err:  # agent without a usable --checkpoint
         raise SystemExit(f"--strategy {args.strategy}: {err}") from None
+    except OSError as err:  # a --checkpoint that cannot be read
+        raise _unreadable(args.checkpoint, err) from None
     budget = Budget(timeout_s=args.timeout_s,
                     max_iterations=args.max_iterations)
     any_sat = False
@@ -156,6 +162,12 @@ def cmd_bench(args) -> int:
                             tighten=not args.no_tighten)
     except ValueError as err:  # raised before any job or output file
         raise SystemExit(f"--strategies {args.strategies}: {err}") from None
+    except OSError as err:
+        # the checkpoint is read before any job; other files are not inputs
+        if err.filename is None or args.checkpoint is None \
+                or Path(err.filename) != Path(args.checkpoint):
+            raise
+        raise _unreadable(args.checkpoint, err) from None
     for summary in aggregate(records, args.timeout_s * 1000.0):
         print(f"{summary.strategy}: SAT={summary.sats} UNSAT={summary.unsats} "
               f"TIMEOUT={summary.timeouts} ERROR={summary.errors} "

@@ -40,7 +40,7 @@ PI_BETA = 0.5
 INITIAL_SPLIT_DEPTH = 3  # nodes at depth <= 3 split by Pseudo-Impact
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SplitAction:
     neuron: NeuronId
     phase: Phase

@@ -5,14 +5,20 @@ Three layers of machinery live here:
 * forward interval propagation through affine+ReLU layers, with phase
   clipping and conflict detection;
 * a dense two-phase simplex over box-bounded variables with Bland's
-  anti-cycling rule, supporting warm-started re-optimization of the same
-  system under many objectives; its tableau holds only the columns that
-  can enter the basis, and it takes exactly the pivots of textbook Bland
-  on the full tableau. ``column_bounds`` finds the minimum and maximum of
-  many columns at once: one phase 2 per bound, each from the phase-1
-  basis, all pivoting together on a stack of tableaux;
-* construction of a node's triangle LP relaxation and LP-based bound
-  tightening on top of it, one ``column_bounds`` call per node.
+  anti-cycling rule. It starts from any basis: a given one (a parent
+  node's final basis), refactorized with one solve, or else a triangular
+  crash basis. Phase 1 minimizes the basics' total box violation, with no
+  artificial columns; phase 2 re-optimizes the same system under many
+  objectives. Its tableau holds only the columns that can enter the
+  basis, and it takes exactly the pivots of textbook Bland on the full
+  tableau. ``column_bounds`` finds the minimum and maximum of many columns
+  at once: one phase 2 per bound, each from the phase-1 basis, all
+  pivoting together on a stack of tableaux;
+* a node's LPs: ``NodeLP``, the SoI LP of a query, which keeps one
+  layout at every node so that a child starts from its parent's final
+  basis; and the triangle LP relaxation of ``build_relaxation``, with
+  LP-based bound tightening on top of it, one phase 1 from the crash
+  basis and one ``column_bounds`` call per node.
 
 A node's phases are one int8 vector in ``Network.relu_ids()`` order,
 holding ``Phase`` codes; its pre- and post-activation bounds are flat
@@ -40,6 +46,10 @@ SAT_SOI_TOL = 1e-6     # total SoI at or below this makes a node a SAT candidate
 _BOUND_SAFETY = 1e-9   # sound-side inflation of LP-tightened bounds
 _PIVOT_EPS = 1e-9
 _RATIO_TIE = 1e-10
+# phase 1 prices a basic out of its box by more than this, short of TOL_LP,
+# so a small violation is removed where it can be rather than carried into
+# the solution; below it lies rounding noise that pivots cannot remove
+_BOX_EPS = 1e-11
 
 
 class Phase(IntEnum):
@@ -197,11 +207,22 @@ class LPProblem:
     maximize: bool = False
 
 
+@dataclass(frozen=True)
+class Basis:
+    """A simplex basis to start from: the column basic in each row, and the
+    nonbasic columns at their upper bound (every other nonbasic column sits
+    at its lower bound). Columns are numbered as in ``BoundedSimplex``."""
+
+    basic: np.ndarray
+    at_upper: np.ndarray
+
+
 @dataclass
 class LPResult:
     status: str  # "feasible" | "infeasible"
     x: np.ndarray | None = None
     objective: float | None = None
+    basis: Basis | None = None  # the final basis of a feasible LP
 
     @property
     def feasible(self) -> bool:
@@ -211,89 +232,68 @@ class LPResult:
 class BoundedSimplex:
     """Dense bounded-variable simplex, two phases, Bland's rule.
 
-    Nonbasic variables sit at one of their bounds. The tableau B^-1 A is
-    maintained explicitly, which is plenty at desk scale and keeps pivots
-    O(m*n). After find_feasible(), optimize() may be called repeatedly with
-    different objectives; each call restarts phase 2 from the current basis.
-    column_bounds() instead bounds many columns, each from the phase-1
-    basis.
+    Every row gets one logical column: a slack in [0, inf) for a ``<=``
+    row, and a column pinned at 0 for an equality row, so the columns are
+    the ``n`` structurals followed by the ``m`` logicals, in row order.
+    Nonbasic columns sit at one of their bounds. The tableau B^-1 A is
+    kept explicitly, which is plenty at desk scale and keeps pivots O(m*n).
+
+    The start basis is ``start`` when given (refactorized with one solve)
+    and otherwise a triangular crash basis; a start that is singular, or
+    whose tableau has an entry that is not finite or exceeds
+    ``_MAX_ENTRY``, gives way to the crash basis. Phase 1 (find_feasible)
+    minimizes the basics' total box violation from there, with no
+    artificial columns. After it, optimize() may be called repeatedly with
+    different objectives; each call restarts phase 2 from the current
+    basis. column_bounds() instead bounds many columns, each from the
+    phase-1 basis.
 
     The tableau ``T`` holds only the columns that can ever enter the basis
-    (``up > lo``), listed in ascending order by ``cols``: pinned structurals
-    and locked artificials are dropped at construction, and every artificial
-    once phase 1 succeeds. A dropped column is never eligible, so the pivots
-    are exactly those of textbook Bland on the full tableau, and every kept
-    entry, ``beta`` and the solution have the same values. ``lo``, ``up``,
-    ``status`` and ``basis`` index all columns.
+    (``up > lo``), listed in ascending order by ``cols``. A pinned column
+    may still be basic; it never enters again once it leaves. A dropped
+    column is never eligible, so the pivots are exactly those of textbook
+    Bland on the full tableau. ``lo``, ``up``, ``status`` and ``basis``
+    index all columns.
     """
 
     _LOWER, _UPPER, _BASIC = 0, 1, 2
     _DANTZIG_STEPS = 50  # column_bounds: most negative reduced cost, then Bland
+    _MAX_ENTRY = 1e8  # a start basis whose tableau exceeds this is refused
 
-    def __init__(self, problem: LPProblem):
+    def __init__(self, problem: LPProblem, start: Basis | None = None):
         lower = np.asarray(problem.lower, dtype=float)
         upper = np.asarray(problem.upper, dtype=float)
         if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
             raise ValueError("all variables need finite box bounds")
-        self.n = lower.shape[0]
-        a_eq = np.zeros((0, self.n)) if problem.a_eq is None else np.atleast_2d(
+        self.n = n = lower.shape[0]
+        a_eq = np.zeros((0, n)) if problem.a_eq is None else np.atleast_2d(
             np.asarray(problem.a_eq, dtype=float))
         b_eq = np.zeros(0) if problem.b_eq is None else np.atleast_1d(
             np.asarray(problem.b_eq, dtype=float))
-        a_ub = np.zeros((0, self.n)) if problem.a_ub is None else np.atleast_2d(
+        a_ub = np.zeros((0, n)) if problem.a_ub is None else np.atleast_2d(
             np.asarray(problem.a_ub, dtype=float))
         b_ub = np.zeros(0) if problem.b_ub is None else np.atleast_1d(
             np.asarray(problem.b_ub, dtype=float))
         m_eq, m_ub = a_eq.shape[0], a_ub.shape[0]
-        m = m_eq + m_ub
-        n = self.n
-        ncols = n + m_ub + m
-        self.m = m
+        self.m = m = m_eq + m_ub
         self.m_eq = m_eq
-        self.slack0 = n
-        self.art0 = n + m_ub
-        self.ncols = ncols
+        self.ncols = ncols = n + m
         self.cap = 50 * (ncols + m)
 
         A = np.zeros((m, ncols))
-        if m_eq:
-            A[:m_eq, :n] = a_eq
-        if m_ub:
-            A[m_eq:, :n] = a_ub
-            A[np.arange(m_eq, m), np.arange(n, n + m_ub)] = 1.0
-        b = np.concatenate([b_eq, b_ub])
-
-        self.lo = np.concatenate([lower, np.zeros(m_ub), np.zeros(m)])
-        self.up = np.concatenate([upper, np.full(m_ub, np.inf), np.full(m, np.inf)])
-        self.status = np.full(ncols, self._LOWER, dtype=np.int8)
-        self.basis = np.empty(m, dtype=int)
-
-        resid = b - A[:, :n] @ lower
-        dvec = np.ones(m)
-        for i in range(m):
-            slack_ok = i >= m_eq and resid[i] >= 0.0
-            if slack_ok:
-                j = n + (i - m_eq)
-                self.up[self.art0 + i] = 0.0  # artificial unused, lock it
-            else:
-                j = self.art0 + i
-                sigma = 1.0 if resid[i] >= 0.0 else -1.0
-                A[i, j] = sigma
-                dvec[i] = sigma
-            self.basis[i] = j
-            self.status[j] = self._BASIC
-        self.beta = dvec * resid
+        A[:m_eq, :n] = a_eq
+        A[m_eq:, :n] = a_ub
+        A[np.arange(m), np.arange(n, ncols)] = 1.0
+        self.A = A
+        self.b = np.concatenate([b_eq, b_ub])
+        self.lo = np.concatenate([lower, np.zeros(m)])
+        self.up = np.concatenate([upper, np.zeros(m_eq),
+                                  np.full(m_ub, np.inf)])
         self._feasible: bool | None = None
-        cols = np.nonzero(self.up > self.lo)[0]
-        self._set_columns(cols, A[:, cols] * dvec[:, None])
-
-    def _set_columns(self, cols: np.ndarray, T: np.ndarray) -> None:
-        """Install the tableau ``T`` over columns ``cols`` and its buffers."""
-        self.cols = cols
-        self.T = np.ascontiguousarray(T)
-        self._pos = np.full(self.ncols, -1)
+        self.cols = cols = np.nonzero(self.up > self.lo)[0]
+        self._pos = np.full(ncols, -1)
         self._pos[cols] = np.arange(cols.size)
-        m, k = self.T.shape
+        k = cols.size
         self._outer = np.empty((m, k))
         self._d = np.empty(k)
         self._elig = np.empty(k, dtype=bool)
@@ -305,24 +305,103 @@ class BoundedSimplex:
         self._limits = np.empty(m)
         self._bounded = np.empty(m, dtype=bool)
         self._inc = np.empty(m, dtype=bool)
+        self._dec = np.empty(m, dtype=bool)
+        if start is None or not self._factor(start.basic, start.at_upper):
+            self._factor(self._crash_basis(), np.zeros(0, dtype=int))
+
+    def _crash_basis(self) -> np.ndarray:
+        """Each equality row's basic column: the lowest movable structural
+        with coefficient 1 in that row and no entry in an earlier equality
+        row, or the row's logical where there is none; every ``<=`` row's
+        slack. B is then triangular with a unit diagonal."""
+        n, m_eq = self.n, self.m_eq
+        basis = np.arange(n, self.ncols)
+        if not (m_eq and n):
+            return basis
+        eq = self.A[:m_eq, :n]
+        nz = eq != 0.0
+        first = np.where(nz.any(axis=0), nz.argmax(axis=0), -1)
+        cand = (eq == 1.0) & (first == np.arange(m_eq)[:, None]) \
+            & (self.up[:n] > self.lo[:n])
+        has = cand.any(axis=1)
+        basis[:m_eq][has] = cand.argmax(axis=1)[has]
+        return basis
+
+    def _factor(self, basis: np.ndarray, at_upper: np.ndarray) -> bool:
+        """Install ``basis``: its tableau and basic values from one solve of
+        B against [A_cols | rhs]. Returns False, installing nothing, when B
+        is singular or the tableau is not finite or exceeds _MAX_ENTRY."""
+        status = np.full(self.ncols, self._LOWER, dtype=np.int8)
+        status[at_upper[np.isfinite(self.up[at_upper])]] = self._UPPER
+        status[basis] = self._BASIC
+        x = np.where(status == self._UPPER, self.up, self.lo)
+        x[basis] = 0.0
+        cols = self.cols
+        try:
+            sol = np.linalg.solve(
+                self.A[:, basis],
+                np.column_stack([self.A[:, cols], self.b - self.A @ x]))
+        except np.linalg.LinAlgError:
+            return False
+        T, beta = sol[:, :-1], sol[:, -1]
+        if not (np.isfinite(sol).all()
+                and np.abs(T).max(initial=0.0) <= self._MAX_ENTRY):
+            return False
+        # basic columns read exact unit vectors
+        k = self._pos[basis]
+        rows = (k >= 0).nonzero()[0]
+        T[:, k[rows]] = 0.0
+        T[rows, k[rows]] = 1.0
+        self.T = np.ascontiguousarray(T)
+        self.beta = beta.copy()
+        self.basis = np.array(basis, dtype=int)
+        self.status = status
+        return True
 
     # -- core pivoting loop ------------------------------------------------
 
-    def _iterate(self, c: np.ndarray) -> None:
+    def _iterate(self, c: np.ndarray | None) -> bool:
+        """Pivot by Bland's rule until no column is eligible.
+
+        With ``c``, phase 2: minimize c.x from a feasible basis; returns
+        True. With None, phase 1: minimize the total box violation of the
+        basics. Its prices, -1 for a basic below its box and +1 for one
+        above it by more than _BOX_EPS, are recomputed at every pivot. In
+        its ratio test a violating basic moving toward its box stops at the
+        bound it violates and leaves the basis there; one moving away never
+        limits the step. Phase 1 returns True once no basic is out of its
+        box by more than _BOX_EPS, and when no column is eligible, whether
+        every basic lies within TOL_LP of its box.
+        """
         T, beta, basis, status = self.T, self.beta, self.basis, self.status
         cols, pos, lo, up = self.cols, self._pos, self.lo, self.up
         d, elig, trow, colv = self._d, self._elig, self._trow, self._colv
         rate, arate, num = self._rate, self._arate, self._num
-        limits, bounded, inc = self._limits, self._bounded, self._inc
-        if not cols.size:
-            return  # every column is pinned: the basis is final
-        c_cols = c[cols]
+        limits, bounded = self._limits, self._bounded
+        inc, dec = self._inc, self._dec
+        m = self.m
+        phase1 = c is None
+        bl, bu = lo[basis], up[basis]
+        # below/above: basics violating their box (phase 1 only)
+        below, above = np.zeros(m, dtype=bool), np.zeros(m, dtype=bool)
+        if phase1:
+            c_cols, cb = np.zeros(cols.size), np.empty(m)
+        else:
+            c_cols, cb = c[cols], c[basis]
         # direction each column may move in: +1 at lower, -1 at upper, 0 basic
         st = status[cols]
         sgn = (st == self._LOWER).astype(float) - (st == self._UPPER)
-        cb, bl, bu = c[basis], lo[basis], up[basis]
         iters = 0
         while True:
+            if phase1:
+                np.less(beta, bl - _BOX_EPS, out=below)
+                np.greater(beta, bu + _BOX_EPS, out=above)
+                if not (below.any() or above.any()):
+                    return True
+                cb[:] = above
+                cb -= below
+            if not cols.size:  # nothing can move
+                return not phase1 or self._within_tol()
             iters += 1
             if iters > self.cap:
                 raise LPIterationError(
@@ -334,24 +413,27 @@ class BoundedSimplex:
             np.less(d, -TOL_LP, out=elig)
             k = int(elig.argmax())  # Bland: lowest index enters
             if not elig[k]:
-                return
+                return not phase1 or self._within_tol()
             j = int(cols[k])
             delta = sgn[k]
             colv[:] = T[:, k]
             np.multiply(colv, -delta, out=rate)
 
             # ratio test: each row's room to the bound its basic variable
-            # moves toward, over |rate|; rows with |rate| <= _PIVOT_EPS never
-            # bound the step
+            # moves toward (the violated one, for a violating basic moving
+            # back), over |rate|; rows with |rate| <= _PIVOT_EPS, and
+            # violating basics moving away, never bound the step
             np.abs(rate, out=arate)
-            np.greater(arate, _PIVOT_EPS, out=bounded)
             np.greater(rate, _PIVOT_EPS, out=inc)
-            np.subtract(beta, bl, out=num)
-            np.subtract(bu, beta, out=num, where=inc)
+            np.less(rate, -_PIVOT_EPS, out=dec)
+            np.subtract(beta, np.where(above, bu, bl), out=num)
+            np.subtract(np.where(below, bl, bu), beta, out=num, where=inc)
+            np.logical_and(inc, ~above, out=bounded)
+            bounded |= dec & ~below
             limits.fill(np.inf)
             np.divide(num, arate, out=limits, where=bounded)
             np.maximum(0.0, limits, out=limits)
-            t_rows = limits[limits.argmin()] if self.m else np.inf
+            t_rows = limits[limits.argmin()] if m else np.inf
             t_self = up[j] - lo[j]
             if t_self <= t_rows + _RATIO_TIE:
                 if not np.isfinite(t_self):
@@ -369,16 +451,19 @@ class BoundedSimplex:
             t = limits[r]
 
             leave = basis[r]
-            status[leave] = self._LOWER if rate[r] < 0 else self._UPPER
+            at_upper = not below[r] if rate[r] > 0 else bool(above[r])
+            status[leave] = self._UPPER if at_upper else self._LOWER
             if pos[leave] >= 0:
-                sgn[pos[leave]] = 1.0 if rate[r] < 0 else -1.0
+                sgn[pos[leave]] = -1.0 if at_upper else 1.0
             enter_val = (lo[j] if delta > 0 else up[j]) + delta * t
             beta += rate * t
             beta[r] = enter_val
             status[j] = self._BASIC
             sgn[k] = 0.0
             basis[r] = j
-            cb[r], bl[r], bu[r] = c[j], lo[j], up[j]
+            bl[r], bu[r] = lo[j], up[j]
+            if not phase1:
+                cb[r] = c[j]
 
             piv = T[r, k]
             if abs(piv) < _PIVOT_EPS:
@@ -389,24 +474,18 @@ class BoundedSimplex:
             T -= self._outer
             T[r] = trow
 
+    def _within_tol(self) -> bool:
+        """Whether every basic lies within TOL_LP of its box."""
+        bl, bu = self.lo[self.basis], self.up[self.basis]
+        return bool(((self.beta >= bl - TOL_LP)
+                     & (self.beta <= bu + TOL_LP)).all())
+
     # -- phases -------------------------------------------------------------
 
     def find_feasible(self) -> bool:
-        c = np.zeros(self.ncols)
-        c[self.art0:] = 1.0
-        self._iterate(c)
-        infeas = float(c @ self._full_solution())
-        if infeas > TOL_LP:
-            self._feasible = False
-            return False
-        # lock artificials at zero; basic ones stay as degenerate zeros
-        self.up[self.art0:] = 0.0
-        art_rows = np.nonzero(self.basis >= self.art0)[0]
-        self.beta[art_rows] = 0.0
-        structural = self.cols < self.art0
-        self._set_columns(self.cols[structural], self.T[:, structural])
-        self._feasible = True
-        return True
+        """Phase 1 from the start basis; whether the LP is feasible."""
+        self._feasible = self._iterate(None)
+        return self._feasible
 
     def optimize(self, c_struct: np.ndarray, maximize: bool = False) -> float:
         if not self._feasible:
@@ -443,8 +522,8 @@ class BoundedSimplex:
         if not (m and k):  # nothing to pivot: each column spans its box
             return lo[cols].copy(), up[cols].copy()
         # every column's tableau index, or the spare slot k for one that
-        # cannot move: a leaving artificial writes its direction there, and
-        # a pinned column reads one that does not matter (lo == up)
+        # cannot move: a leaving pinned basic writes its direction there,
+        # and a pinned column reads one that does not matter (lo == up)
         slot = np.where(self._pos >= 0, self._pos, k)
         lo_m, up_m, width = lo[movable], up[movable], (up - lo)[movable]
         st = self.status[movable]
@@ -545,22 +624,30 @@ class BoundedSimplex:
     def solution(self) -> np.ndarray:
         return self._full_solution()[:self.n]
 
+    def final_basis(self) -> Basis:
+        """The current basis, to start a like LP from."""
+        return Basis(basic=self.basis.copy(),
+                     at_upper=(self.status == self._UPPER).nonzero()[0])
 
-def solve_lp(problem: LPProblem) -> LPResult:
+
+def solve_lp(problem: LPProblem, start: Basis | None = None) -> LPResult:
     """Solve one LP: Feasible with an assignment (optimal within TOL_LP when
-    an objective is given), or Infeasible. Deterministic for fixed input."""
+    an objective is given) and its final basis, or Infeasible. ``start``
+    is a basis of an LP with the same rows and columns to begin from.
+    Deterministic for fixed input."""
     lower = np.asarray(problem.lower, dtype=float)
     upper = np.asarray(problem.upper, dtype=float)
     if np.any(lower > upper):
         return LPResult(status="infeasible")
-    sx = BoundedSimplex(problem)
+    sx = BoundedSimplex(problem, start)
     if not sx.find_feasible():
         return LPResult(status="infeasible")
     objective = None
     if problem.objective is not None:
         objective = sx.optimize(np.asarray(problem.objective, dtype=float),
                                 problem.maximize)
-    return LPResult(status="feasible", x=sx.solution(), objective=objective)
+    return LPResult(status="feasible", x=sx.solution(), objective=objective,
+                    basis=sx.final_basis())
 
 
 # ---------------------------------------------------------------------------
@@ -649,57 +736,126 @@ def build_relaxation(net: Network, bounds: BoundsMap, phases: np.ndarray,
     return problem, vmap
 
 
-def solve_relaxation(net: Network, bounds: BoundsMap, phases: np.ndarray,
-                     output_constraints: Sequence = ()) -> tuple[LPResult, VarMap]:
-    """Solve the node relaxation for its most-violating point.
+class NodeLP:
+    """The SoI LP of one query, with one layout at every node.
+
+    Columns: ``vmap``'s inputs, each ReLU layer's pre- then
+    post-activations and the outputs, then one SoI auxiliary per ReLU
+    (columns ``t``, in relu_ids() order). Rows: the affine equalities layer by layer, then
+    four rows per ReLU in relu_ids() order (its two triangle rows, then
+    its two SoI rows), then the output rows. The matrix is built here
+    once; ``problem`` writes a node's boxes, triangle slopes and
+    right-hand sides into it, so a node's final basis is a valid start for
+    its children.
+
+    A neuron that is active, or unfixed with pre lower bound >= 0, gets
+    triangle slope 1 and intercept 0: its two triangle rows give post =
+    pre. One that is inactive, or unfixed with pre upper bound <= 0, gets
+    slope 0, and its box pins post to 0. A fixed neuron's ``t`` is pinned to
+    [0, 0]. The SoI rows ``t <= post - pre`` and ``t <= post`` hold every
+    point of a fixed neuron, so the feasible set is that of
+    ``build_relaxation`` (which drops what this keeps as redundant rows).
+    """
+
+    def __init__(self, net: Network, output_constraints: Sequence = ()):
+        self.net = net
+        r = net.num_relus
+        n_in, n_out = net.input_dim, net.output_dim
+        n = n_in + 3 * r + n_out
+        n_eq = sum(layer.out_dim for layer in net.layers)
+        a_eq, b_eq = np.zeros((n_eq, n)), np.zeros(n_eq)
+        pre = np.empty(r, dtype=int)
+        post = np.empty(r, dtype=int)
+        prev, col, row = slice(0, n_in), n_in, 0
+        for k, layer in enumerate(net.layers):
+            width = layer.out_dim
+            block = a_eq[row:row + width]
+            np.fill_diagonal(block[:, col:col + width], 1.0)
+            block[:, prev] = -layer.weight
+            b_eq[row:row + width] = layer.bias
+            row += width
+            if not layer.has_relu:
+                y = slice(col, col + width)
+                continue
+            sl = net.relu_slices[k]
+            pre[sl] = np.arange(col, col + width)
+            post[sl] = pre[sl] + width
+            prev = slice(col + width, col + 2 * width)
+            col += 2 * width
+        self.vmap = VarMap(x=slice(0, n_in), pre=pre, post=post, y=y,
+                           n_vars=col + n_out)
+        self.t = t = np.arange(col + n_out, n)
+        j = np.arange(r)
+        a_ub = np.zeros((4 * r + len(output_constraints), n))
+        b_ub = np.zeros(a_ub.shape[0])
+        a_ub[4 * j, pre] = 1.0          # post >= pre
+        a_ub[4 * j, post] = -1.0
+        a_ub[4 * j + 1, post] = 1.0     # post <= slope * (pre - a)
+        a_ub[4 * j + 2, t] = 1.0        # t <= post - pre
+        a_ub[4 * j + 2, post] = -1.0
+        a_ub[4 * j + 2, pre] = 1.0
+        a_ub[4 * j + 3, t] = 1.0        # t <= post
+        a_ub[4 * j + 3, post] = -1.0
+        for i, con in enumerate(output_constraints):
+            a_ub[4 * r + i, y] = con.coeffs
+            b_ub[4 * r + i] = con.bound
+        self.a_eq, self.b_eq, self.a_ub, self.b_ub = a_eq, b_eq, a_ub, b_ub
+
+    def problem(self, bounds: BoundsMap, phases: np.ndarray) -> LPProblem:
+        """The node's LP, maximizing the total SoI of its unfixed
+        neurons."""
+        vmap, r = self.vmap, self.net.num_relus
+        lo, up = bounds.pre_lower, bounds.pre_upper
+        unfixed = phases == Phase.UNFIXED.value
+        tied = (phases == Phase.ACTIVE.value) | (unfixed & (lo >= 0.0))
+        tri = (unfixed & (lo < 0.0) & (up > 0.0)).nonzero()[0]
+        c_pre, c_rhs = -tied.astype(float), np.zeros(r)
+        _, (c_pre[tri], _, c_rhs[tri]) = triangle_relaxation(lo[tri], up[tri])
+        a_ub, b_ub = self.a_ub.copy(), self.b_ub.copy()
+        a_ub[4 * np.arange(r) + 1, vmap.pre] = c_pre
+        b_ub[1:4 * r:4] = c_rhs
+        n = self.a_ub.shape[1]
+        lower, upper = np.zeros(n), np.zeros(n)
+        for box, pre_b, post_b, in_b, out_b in (
+                (lower, lo, bounds.post_lower, bounds.input_lower,
+                 bounds.output_lower),
+                (upper, up, bounds.post_upper, bounds.input_upper,
+                 bounds.output_upper)):
+            box[vmap.x], box[vmap.y] = in_b, out_b
+            box[vmap.pre], box[vmap.post] = pre_b, post_b
+        # an unfixed neuron's t spans min(post - pre, post) over its boxes
+        a_lo, a_hi = bounds.post_lower[unfixed], bounds.post_upper[unfixed]
+        z_lo, z_hi = lo[unfixed], up[unfixed]
+        t = self.t[unfixed]
+        lower[t] = np.where(a_lo < a_lo - z_hi, a_lo, a_lo - z_hi)
+        upper[t] = np.where(a_hi < a_hi - z_lo, a_hi, a_hi - z_lo)
+        objective = np.zeros(n)
+        objective[t] = 1.0
+        return LPProblem(lower=lower, upper=upper, a_eq=self.a_eq,
+                         b_eq=self.b_eq, a_ub=a_ub, b_ub=b_ub,
+                         objective=objective, maximize=True)
+
+
+def solve_relaxation(lp: NodeLP, bounds: BoundsMap, phases: np.ndarray,
+                     start: Basis | None = None) -> LPResult:
+    """Solve the node relaxation for its most-violating point, starting
+    from ``start`` (the parent node's final basis) when given.
 
     The assignment maximizes the total ReLU error (sum over unfixed neurons
     of min(post - pre, post), each linearized with one auxiliary variable),
     so a zero objective certifies that every point of the relaxation
     satisfies all ReLU constraints exactly. That makes the SoI-based SAT
-    test independent of which vertex the simplex happens to visit.
+    test independent of which vertex the simplex happens to visit. The
+    result's ``x`` covers every column of ``lp``; ``lp.vmap`` reads it.
     """
-    problem, vmap = build_relaxation(net, bounds, phases, output_constraints)
-    unfixed = (phases == Phase.UNFIXED.value).nonzero()[0]
-    if not unfixed.size:
-        result = solve_lp(problem)
-        if result.feasible:
-            result = LPResult(status="feasible", x=result.x, objective=0.0)
-        return result, vmap
-
-    n = vmap.n_vars
-    n_aux = unfixed.size
-    zc, ac = vmap.pre[unfixed], vmap.post[unfixed]
-    a_lo, a_hi = problem.lower[ac], problem.upper[ac]
-    z_lo, z_hi = problem.lower[zc], problem.upper[zc]
-    # the auxiliary's box is min(post - pre, post) over the pre/post boxes
-    t_lo = np.where(a_lo < a_lo - z_hi, a_lo, a_lo - z_hi)
-    t_hi = np.where(a_hi < a_hi - z_lo, a_hi, a_hi - z_lo)
-    rows = np.zeros((2 * n_aux, n + n_aux))
-    j = np.arange(n_aux)
-    rows[2 * j, n + j] = 1.0          # t <= post - pre
-    rows[2 * j, ac] = -1.0
-    rows[2 * j, zc] = 1.0
-    rows[2 * j + 1, n + j] = 1.0      # t <= post
-    rows[2 * j + 1, ac] = -1.0
-    a_ub = np.vstack([
-        np.hstack([problem.a_ub, np.zeros((problem.a_ub.shape[0], n_aux))]),
-        rows])
-    b_ub = np.concatenate([problem.b_ub, np.zeros(2 * n_aux)])
-    objective = np.zeros(n + n_aux)
-    objective[n:] = 1.0
-    widened = LPProblem(
-        lower=np.concatenate([problem.lower, t_lo]),
-        upper=np.concatenate([problem.upper, t_hi]),
-        a_eq=np.hstack([problem.a_eq,
-                        np.zeros((problem.a_eq.shape[0], n_aux))]),
-        b_eq=problem.b_eq, a_ub=a_ub, b_ub=b_ub,
-        objective=objective, maximize=True)
-    result = solve_lp(widened)
+    problem = lp.problem(bounds, phases)
+    if (phases == Phase.UNFIXED.value).any():
+        return solve_lp(problem, start)
+    problem.objective = None  # every t is pinned at 0: phase 1 decides
+    result = solve_lp(problem, start)
     if result.feasible:
-        result = LPResult(status="feasible", x=result.x[:n],
-                          objective=result.objective)
-    return result, vmap
+        result.objective = 0.0
+    return result
 
 
 def tighten_bounds_lp(net: Network, bounds: BoundsMap, phases: np.ndarray,

@@ -40,8 +40,8 @@ import numpy as np
 from .heuristics import STATIC_STRATEGIES, SplitAction, compute_scores, \
     pseudo_impact_update, relu_soi, select_split, soi_total
 from .model import Network, NeuronId
-from .numeric import SAT_SOI_TOL, _CONFLICT_EPS, BoundsMap, Conflict, Phase, \
-    propagate_intervals, solve_relaxation, tighten_bounds_lp
+from .numeric import SAT_SOI_TOL, _CONFLICT_EPS, Basis, BoundsMap, Conflict, \
+    NodeLP, Phase, propagate_intervals, solve_relaxation, tighten_bounds_lp
 from .query import Query, Verdict, check_witness
 
 
@@ -68,10 +68,12 @@ class NodeState:
     """One BaB node after deduction, as built by ``expand``.
 
     ``soi_errors`` holds the soi_error of every ReLU at the relaxation's
-    optimum, in relu_ids() order, and ``soi`` is their total. A conflict
-    node carries no bounds or SoI; its phases are those deduced before the
-    conflict. ``node_id`` and ``splits_so_far`` (the run's split count when
-    the node was visited) are set by the engine.
+    optimum, in relu_ids() order, and ``soi`` is their total. ``basis`` is
+    the final basis of the node's SoI LP, from which its children's SoI
+    LPs start. A conflict node carries no bounds, SoI or basis; its phases
+    are those deduced before the conflict. ``node_id`` and
+    ``splits_so_far`` (the run's split count when the node was visited)
+    are set by the engine.
     """
 
     phases: np.ndarray  # int8 Phase codes in relu_ids() order
@@ -81,6 +83,7 @@ class NodeState:
     soi_errors: np.ndarray | None = None
     soi: float | None = None
     witness: np.ndarray | None = None
+    basis: Basis | None = None
     action: SplitAction | None = None
     parent_id: int = -1
     node_id: int = -1
@@ -95,7 +98,7 @@ class NodeState:
 # event log
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NodeEvent:
     node_id: int
     parent_id: int
@@ -114,7 +117,7 @@ class NodeEvent:
                 f"soi={soi}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SplitEvent:
     node_id: int
     neuron: NeuronId
@@ -229,16 +232,18 @@ def _deduce_bounds(net: Network, query: Query, phases: np.ndarray,
         settled = not deduce_phases(carry, phases)
 
 
-def expand(net: Network, query: Query, parent: NodeState | None,
+def expand(lp: NodeLP, query: Query, parent: NodeState | None,
            action: SplitAction | None, *, tighten: bool) -> NodeState:
     """The deduced child of ``parent`` under ``action``; the root node when
-    both are None.
+    both are None. ``lp`` is the query's SoI LP (``NodeLP(net,
+    query.constraints)``); the child's starts from the parent's final basis.
 
     A Conflict during deduction yields a closed child (status "conflict")
     rather than an exception; the sibling is the expansion under the
     complementary action. A split on a neuron that is fixed, or that the
     network does not have, raises ValueError.
     """
+    net = lp.net
     if parent is None:
         phases = np.full(net.num_relus, Phase.UNFIXED.value, dtype=np.int8)
         depth, clip, parent_id = 0, None, -1
@@ -252,18 +257,19 @@ def expand(net: Network, query: Query, parent: NodeState | None,
                                   parent.node_id)
     try:
         bounds = _deduce_bounds(net, query, phases, clip, tighten)
-        result, vmap = solve_relaxation(net, bounds, phases, query.constraints)
+        result = solve_relaxation(lp, bounds, phases,
+                                  parent.basis if parent else None)
         if not result.feasible:
             raise Conflict("relaxation infeasible")
     except Conflict:
         return NodeState(phases=phases, depth=depth, status="conflict",
                          action=action, parent_id=parent_id)
 
-    soi_errors = relu_soi(result.x, vmap)
+    soi_errors = relu_soi(result.x, lp.vmap)
     soi = soi_total(net, soi_errors)
     status, witness = "open", None
     if soi <= SAT_SOI_TOL:
-        candidate = result.x[vmap.x].copy()
+        candidate = result.x[lp.vmap.x].copy()
         if check_witness(net, query, candidate):
             status, witness = "sat", candidate
         elif not (phases == Phase.UNFIXED.value).any():
@@ -272,7 +278,7 @@ def expand(net: Network, query: Query, parent: NodeState | None,
                 "validation; solver tolerance breach")
     return NodeState(phases=phases, depth=depth, status=status, bounds=bounds,
                      soi_errors=soi_errors, soi=soi, witness=witness,
-                     action=action, parent_id=parent_id)
+                     basis=result.basis, action=action, parent_id=parent_id)
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +303,7 @@ class _Engine:
                  tighten: bool, force_first, event_sink, collector):
         self.net = net
         self.query = query
+        self.lp = NodeLP(net, query.constraints)
         self.strategy = strategy
         self.budget = budget
         self.tighten = tighten
@@ -323,7 +330,7 @@ class _Engine:
     def _visit(self, parent: NodeState | None,
                action: SplitAction | None) -> NodeState:
         self._check_budget()
-        node = expand(self.net, self.query, parent, action,
+        node = expand(self.lp, self.query, parent, action,
                       tighten=self.tighten)
         node.node_id = self.iterations
         node.splits_so_far = self.splits

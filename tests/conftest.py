@@ -24,6 +24,14 @@ def toy_query(toy):
     return example_property(toy)
 
 
+@pytest.fixture
+def toy_lp(toy, toy_query):
+    """The SoI LP of the running example."""
+    from relubab.numeric import NodeLP
+
+    return NodeLP(toy, toy_query.constraints)
+
+
 @pytest.fixture(scope="session")
 def trained_checkpoint(tmp_path_factory):
     """The final checkpoint of a short training run (interval mode)."""

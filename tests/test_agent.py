@@ -18,7 +18,7 @@ from relubab.agent import (FEATURE_NAMES, INPUT_WIDTH, AgentPolicy, QNet,
 from relubab.harness import gen_random_suite
 from relubab.heuristics import INITIAL_SPLIT_DEPTH
 from relubab.model import NeuronId
-from relubab.numeric import Phase
+from relubab.numeric import NodeLP, Phase
 from relubab.query import example_property
 from relubab.search import (Budget, NodeEvent, SplitAction, SplitEvent,
                             expand, verify, FeatureContext)
@@ -29,7 +29,8 @@ N2 = NeuronId(0, 1)
 
 def toy_root_features(toy, toy_query):
     from relubab.heuristics import compute_scores
-    root = expand(toy, toy_query, None, None, tighten=True)
+    root = expand(NodeLP(toy, toy_query.constraints), toy_query, None, None,
+                  tighten=True)
     fctx = FeatureContext(root.bounds)
     scores = compute_scores(toy, root, np.array([1.0]), np.array([1.0, 0.75]))
     return featurize(toy, root, scores, fctx), root, fctx
@@ -57,11 +58,11 @@ class TestFeaturize:
         assert len(FEATURE_NAMES) == 14
         assert FEATURE_NAMES[-1] == "phase_bit"
 
-    def test_one_unfixed_two_candidates(self, toy, toy_query):
+    def test_one_unfixed_two_candidates(self, toy, toy_query, toy_lp):
         from relubab.heuristics import compute_scores
-        root = expand(toy, toy_query, None, None, tighten=True)
-        child = expand(toy, toy_query, root, SplitAction(N1, Phase.ACTIVE),
-                       tighten=True)
+        root = expand(toy_lp, toy_query, None, None, tighten=True)
+        child = expand(toy_lp, toy_query, root,
+                       SplitAction(N1, Phase.ACTIVE), tighten=True)
         fctx = FeatureContext(root.bounds)
         fctx.running_max_splits = 1
         scores = compute_scores(toy, child, np.array([1.0]),
@@ -76,9 +77,9 @@ class TestFeaturize:
         assert np.all(state.matrix[:, 10:13] >= 0.0)
         assert np.all(state.matrix[:, 10:13] <= 1.0 + 1e-12)
 
-    def test_no_unfixed_rejected(self, toy, toy_query):
+    def test_no_unfixed_rejected(self, toy, toy_query, toy_lp):
         from relubab.heuristics import HeuristicScores
-        root = expand(toy, toy_query, None, None, tighten=True)
+        root = expand(toy_lp, toy_query, None, None, tighten=True)
         fctx = FeatureContext(root.bounds)
         empty = HeuristicScores(unfixed=np.array([], dtype=int),
                                 soi=np.zeros(2), polarity=np.zeros(2),
@@ -545,7 +546,8 @@ def reference_targets(qnet, target_qnet, batch, gamma):
 def reference_gradients(qnet, batch, targets, weights, lam, margin):
     """compute_gradients as a per-transition loop, one forward and one
     backward pass per transition: the reference for the stacked version."""
-    grads = qnet.zero_gradients()
+    grads = [(np.zeros_like(w), np.zeros_like(b))
+             for w, b in zip(qnet.weights, qnet.biases)]
     total = 0.0
     tds = np.zeros(len(batch))
     for i, (t, tgt, w) in enumerate(zip(batch, targets, weights)):

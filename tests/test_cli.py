@@ -127,6 +127,21 @@ def test_missing_inputs_exit_with_one_line(toy_files, tmp_path, command,
     assert "\n" not in message
 
 
+@pytest.mark.parametrize("command", ["verify", "bench"])
+@pytest.mark.parametrize("name", ["nope.txt", "."], ids=["missing", "dir"])
+def test_unreadable_checkpoint_exits_with_one_line(toy_files, tmp_path,
+                                                  command, name):
+    net, prop = toy_files
+    ckpt = str(tmp_path / name)
+    option = "--strategy" if command == "verify" else "--strategies"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--net", str(net), "--prop", str(prop), option,
+              "agent", "--checkpoint", ckpt])
+    message = str(exc.value.code)
+    assert message.startswith(f"cannot read {ckpt}: ")
+    assert "\n" not in message
+
+
 def test_gen_bench_report_pipeline(tmp_path, capsys):
     suite = tmp_path / "suite"
     out = tmp_path / "out"

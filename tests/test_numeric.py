@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from conftest import make_random_net, phase_vector
 from relubab.model import NeuronId, evaluate_batch
-from relubab.numeric import (BoundedSimplex, Conflict, LPError,
-                             LPIterationError, LPProblem, Phase,
+from relubab.numeric import (Basis, BoundedSimplex, Conflict, LPError,
+                             LPIterationError, LPProblem, NodeLP, Phase,
                              build_relaxation, propagate_intervals, solve_lp,
                              solve_relaxation, tighten_bounds_lp,
                              triangle_relaxation)
@@ -310,7 +310,7 @@ class TestSolveRelaxation:
         phases = phase_vector(toy)
         bounds = propagate_intervals(toy, toy.input_lower, toy.input_upper,
                                      phases)
-        res, vmap = solve_relaxation(toy, bounds, phases)
+        res = solve_relaxation(NodeLP(toy), bounds, phases)
         assert res.feasible
         assert res.objective == pytest.approx(1.0 + 2.0 / 3.0, abs=1e-7)
 
@@ -318,9 +318,9 @@ class TestSolveRelaxation:
         phases = phase_vector(toy, {N1: Phase.INACTIVE, N2: Phase.INACTIVE})
         bounds = propagate_intervals(toy, toy.input_lower, toy.input_upper,
                                      phases)
-        res, _ = solve_relaxation(
-            toy, bounds, phases,
-            (OutputConstraint(coeffs=np.array([1.0]), bound=-0.5),))
+        lp = NodeLP(toy, (OutputConstraint(coeffs=np.array([1.0]),
+                                           bound=-0.5),))
+        res = solve_relaxation(lp, bounds, phases)
         assert res.status == "infeasible"
 
 
@@ -351,8 +351,8 @@ class TestSimplexKernel:
             infeasible.optimize(np.ones(1))
 
     def test_dropped_columns_keep_cap(self):
-        # x0 pinned, one equality row (artificial basic), one <= row whose
-        # slack starts basic (artificial locked)
+        # x0 pinned, one equality row (its logical pinned at 0), one <= row
+        # (its slack in [0, inf))
         problem = LPProblem(lower=np.array([0.5, 0.0, 0.0]),
                             upper=np.array([0.5, 2.0, 2.0]),
                             a_eq=np.array([[1.0, 1.0, -1.0]]),
@@ -360,14 +360,13 @@ class TestSimplexKernel:
                             a_ub=np.array([[0.0, 1.0, 1.0]]),
                             b_ub=np.array([3.0]))
         sx = BoundedSimplex(problem)
-        assert sx.ncols == 3 + 1 + 2
+        assert sx.ncols == 3 + 2
         assert sx.cap == 50 * (sx.ncols + sx.m)
-        # pinned x0 and row 1's locked artificial never enter
-        assert sx.cols.tolist() == [1, 2, 3, 4]
-        assert sx.T.shape == (2, 4)
-        assert sx.find_feasible()
-        assert sx.cols.tolist() == [1, 2, 3]
+        # pinned x0 and row 0's logical never enter
+        assert sx.cols.tolist() == [1, 2, 4]
         assert sx.T.shape == (2, 3)
+        assert sx.find_feasible()
+        assert sx.cols.tolist() == [1, 2, 4]
         assert sx.cap == 50 * (sx.ncols + sx.m)
         assert sx.optimize(np.array([0.0, 1.0, 0.0])) == pytest.approx(0.5)
 
@@ -388,6 +387,81 @@ class TestSimplexKernel:
             x = sx.solution()
             assert x[0] == 0.7
             assert x[1] == pytest.approx(0.5, abs=1e-12)
+
+
+class TestStartBasis:
+    # x0 + x1 = 1 and x1 + x2 = 1 on [0, 2]^3; x1 has an entry in row 0,
+    # so the crash basis is x0, x2
+    CHAIN = LPProblem(lower=np.zeros(3), upper=np.full(3, 2.0),
+                      a_eq=np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]]),
+                      b_eq=np.ones(2), objective=np.array([1.0, 0.0, 2.0]))
+
+    def test_crash_basis_is_triangular(self):
+        assert BoundedSimplex(self.CHAIN).basis.tolist() == [0, 2]
+
+    def test_singular_start_falls_back_to_crash(self):
+        sx = BoundedSimplex(self.CHAIN, Basis(np.array([1, 1]),
+                                              np.zeros(0, dtype=int)))
+        assert sx.basis.tolist() == [0, 2]
+        assert sx.find_feasible()
+        assert sx.optimize(self.CHAIN.objective) == pytest.approx(0.0)
+
+    def test_ill_conditioned_start_falls_back_to_crash(self):
+        # x0 and x2 as a basis: B^-1, the slacks' tableau columns, has
+        # entries near 1e12
+        problem = LPProblem(lower=np.zeros(3), upper=np.full(3, 2.0),
+                            a_ub=np.array([[1.0, 1.0, 0.0],
+                                           [1.0, 1.0, 1e-12]]),
+                            b_ub=np.ones(2))
+        sx = BoundedSimplex(problem, Basis(np.array([0, 2]),
+                                           np.zeros(0, dtype=int)))
+        assert sx.basis.tolist() == [3, 4]  # the slacks
+        assert np.abs(sx.T).max() <= BoundedSimplex._MAX_ENTRY
+
+    def test_warm_start_takes_the_given_basis(self):
+        # x2 basic in row 1 and x1 at its upper bound: x0 = -1, x2 = -1,
+        # both below their boxes, so phase 1 pivots from there
+        start = Basis(np.array([0, 2]), np.array([1]))
+        sx = BoundedSimplex(self.CHAIN, start)
+        assert sx.basis.tolist() == [0, 2]
+        assert sx.beta.tolist() == [-1.0, -1.0]
+        assert sx.find_feasible()
+        assert sx.optimize(self.CHAIN.objective) == pytest.approx(0.0)
+        assert start.basic.tolist() == [0, 2]  # the start is not changed
+
+    def test_infeasible_from_a_warm_basis(self):
+        res = solve_lp(self.CHAIN)
+        assert res.feasible
+        # x0 + x1 = 1 and x1 + x2 = 5 cannot both hold on [0, 2]^3
+        moved = copy.copy(self.CHAIN)
+        moved.b_eq = np.array([1.0, 5.0])
+        assert not solve_lp(moved, res.basis).feasible
+        assert not solve_lp(moved).feasible
+
+    def test_pinned_logical_stays_basic(self):
+        # the second row doubles the first: no column is a crash choice for
+        # it, so its logical (column 3, pinned at 0) starts and stays basic
+        problem = LPProblem(lower=np.zeros(2), upper=np.full(2, 2.0),
+                            a_eq=np.array([[1.0, 1.0], [2.0, 2.0]]),
+                            b_eq=np.array([1.0, 2.0]))
+        sx = BoundedSimplex(problem)
+        assert sx.basis.tolist() == [0, 3]
+        assert sx.find_feasible()
+        assert sx.optimize(np.array([1.0, -1.0])) == pytest.approx(-1.0)
+        assert 3 in sx.basis.tolist()
+        assert sx.solution().tolist() == pytest.approx([0.0, 1.0])
+
+    def test_phase1_pivot_cap_raises(self):
+        # x_i >= 1 as rows: each slack starts at -1 and takes one pivot
+        problem = LPProblem(lower=np.zeros(3), upper=np.full(3, 10.0),
+                            a_ub=-np.eye(3), b_ub=-np.ones(3))
+        sx = BoundedSimplex(problem)
+        sx.cap = 2
+        with pytest.raises(LPIterationError):
+            sx.find_feasible()
+        sx = BoundedSimplex(problem)
+        assert sx.find_feasible()
+        assert sx.solution().tolist() == [1.0, 1.0, 1.0]
 
 
 class TestColumnBounds:
@@ -503,8 +577,8 @@ def small_lps(draw):
 
 
 @st.composite
-def relaxation_lps(draw):
-    """build_relaxation LPs of random networks under random phases, with a
+def relaxation_nodes(draw):
+    """Random networks under random phases, their interval bounds, and a
     random output row that sometimes empties the relaxation."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     net = make_random_net(rng)
@@ -518,10 +592,45 @@ def relaxation_lps(draw):
         bounds = propagate_intervals(net, net.input_lower, net.input_upper,
                                      phases)
     threshold = draw(st.floats(-2.0, 2.0))
-    problem, vmap = build_relaxation(
-        net, bounds, phases,
-        (OutputConstraint(coeffs=np.array([1.0]), bound=threshold),))
+    return net, phases, bounds, OutputConstraint(coeffs=np.array([1.0]),
+                                                 bound=threshold)
+
+
+@st.composite
+def relaxation_lps(draw):
+    """build_relaxation LPs of relaxation_nodes."""
+    net, phases, bounds, con = draw(relaxation_nodes())
+    problem, vmap = build_relaxation(net, bounds, phases, (con,))
     return net, problem, vmap
+
+
+@st.composite
+def perturbed_lps(draw):
+    """A solved small LP and a perturbed copy: boxes shrunk (some to a
+    point), coefficients ("slopes") and right-hand sides moved."""
+    problem = draw(small_lps())
+    width = problem.upper - problem.lower
+    n = width.size
+    cut = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n,
+                                 max_size=n)))
+    pin = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    lower = problem.lower + np.floor(cut * width) / 2
+    upper = np.where(pin, lower, np.maximum(lower, problem.upper
+                                             - np.floor(cut * width) / 2))
+    moved = copy.copy(problem)
+    moved.lower, moved.upper = lower, upper
+    for a, b in (("a_eq", "b_eq"), ("a_ub", "b_ub")):
+        mat = getattr(problem, a)
+        if mat is None:
+            continue
+        step = np.array(draw(st.lists(st.integers(-1, 1), min_size=mat.size,
+                                      max_size=mat.size))).reshape(mat.shape)
+        shift = np.array(draw(st.lists(st.integers(-1, 1),
+                                       min_size=mat.shape[0],
+                                       max_size=mat.shape[0])))
+        setattr(moved, a, mat + 0.5 * step)
+        setattr(moved, b, getattr(problem, b) + shift)
+    return problem, moved
 
 
 class TestSimplexAgainstHighs:
@@ -583,3 +692,54 @@ class TestSimplexAgainstHighs:
                 copy.deepcopy(sx).optimize(c), abs=1e-9)
             assert col_hi == pytest.approx(
                 copy.deepcopy(sx).optimize(c, maximize=True), abs=1e-9)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(perturbed_lps())
+    def test_warm_start(self, case):
+        # a perturbed LP started from the first one's final basis: HiGHS's
+        # status and optimum, and those of a crash start
+        problem, moved = case
+        first = solve_lp(problem)
+        if not first.feasible:
+            return
+        feasible, best = _highs(moved, moved.objective)
+        warm = solve_lp(moved, first.basis)
+        cold = solve_lp(moved)
+        assert warm.feasible == cold.feasible == feasible
+        if feasible:
+            assert warm.objective == pytest.approx(best, abs=1e-6)
+            assert warm.objective == pytest.approx(cold.objective, abs=1e-6)
+            assert (warm.x >= moved.lower - 1e-9).all()
+            assert (warm.x <= moved.upper + 1e-9).all()
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(relaxation_nodes())
+    def test_node_lp(self, case):
+        # NodeLP has build_relaxation's feasible set (the same range of y),
+        # and its SoI optimum is HiGHS's, from a crash start and from the
+        # final basis of the same network's root node
+        net, phases, bounds, con = case
+        lp = NodeLP(net, (con,))
+        unfixed = np.zeros(net.num_relus, dtype=np.int8)
+        root = solve_relaxation(lp, propagate_intervals(
+            net, net.input_lower, net.input_upper, unfixed), unfixed)
+        old, old_vmap = build_relaxation(net, bounds, phases, (con,))
+        node = lp.problem(bounds, phases)
+        for sign in (1.0, -1.0):
+            c_old = np.zeros(old_vmap.n_vars)
+            c_old[old_vmap.y] = sign
+            c_new = np.zeros(node.lower.size)
+            c_new[lp.vmap.y] = sign
+            feasible, best = _highs(old, c_old)
+            assert _highs(node, c_new)[0] == feasible
+            if feasible:
+                assert _highs(node, c_new)[1] == pytest.approx(best,
+                                                                abs=1e-6)
+        feasible, best = _highs(node, -node.objective)
+        for start in (None, root.basis):
+            res = solve_relaxation(lp, bounds, phases, start)
+            assert res.feasible == feasible
+            if feasible and (phases == Phase.UNFIXED.value).any():
+                assert res.objective == pytest.approx(-best, abs=1e-6)

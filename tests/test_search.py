@@ -140,43 +140,43 @@ class TestDeducePhases:
 
 
 class TestApplySplit:
-    def test_active_split_tightens_input(self, toy, toy_query):
+    def test_active_split_tightens_input(self, toy_query, toy_lp):
         # phase fixing alone gives 2 x1 >= 0; the node LP also carries
         # y <= -0.5, i.e. -2 x1 + post2 <= -0.5 with post2 >= 0, so the
         # tightened lower bound is 0.25
-        root = expand(toy, toy_query, None, None, tighten=True)
-        child = expand(toy, toy_query, root, SplitAction(N1, Phase.ACTIVE),
-                       tighten=True)
+        root = expand(toy_lp, toy_query, None, None, tighten=True)
+        child = expand(toy_lp, toy_query, root,
+                       SplitAction(N1, Phase.ACTIVE), tighten=True)
         assert child.status == "open"
         assert child.depth == 1
         assert child.action == SplitAction(N1, Phase.ACTIVE)
         assert child.bounds.input_lower[0] == pytest.approx(0.25, abs=1e-6)
         assert child.bounds.input_lower[0] >= 0.0
 
-    def test_inactive_split_is_closed_child(self, toy, toy_query):
-        root = expand(toy, toy_query, None, None, tighten=True)
-        child = expand(toy, toy_query, root, SplitAction(N1, Phase.INACTIVE),
-                       tighten=True)
+    def test_inactive_split_is_closed_child(self, toy_query, toy_lp):
+        root = expand(toy_lp, toy_query, None, None, tighten=True)
+        child = expand(toy_lp, toy_query, root,
+                       SplitAction(N1, Phase.INACTIVE), tighten=True)
         assert child.status == "conflict"
         assert child.bounds is None and child.soi is None
 
-    def test_split_on_fixed_neuron_rejected(self, toy, toy_query):
-        root = expand(toy, toy_query, None, None, tighten=True)
-        child = expand(toy, toy_query, root, SplitAction(N1, Phase.ACTIVE),
-                       tighten=True)
+    def test_split_on_fixed_neuron_rejected(self, toy_query, toy_lp):
+        root = expand(toy_lp, toy_query, None, None, tighten=True)
+        child = expand(toy_lp, toy_query, root,
+                       SplitAction(N1, Phase.ACTIVE), tighten=True)
         with pytest.raises(ValueError):
-            expand(toy, toy_query, child, SplitAction(N1, Phase.ACTIVE),
+            expand(toy_lp, toy_query, child, SplitAction(N1, Phase.ACTIVE),
                    tighten=True)
 
     @pytest.mark.parametrize("neuron", [NeuronId(0, 2), NeuronId(1, 0),
                                         NeuronId(0, -1)],
                              ids=["past-layer-end", "output-layer",
                                   "negative-index"])
-    def test_split_outside_network_rejected(self, toy, toy_query, neuron):
-        root = expand(toy, toy_query, None, None, tighten=True)
+    def test_split_outside_network_rejected(self, toy_query, toy_lp, neuron):
+        root = expand(toy_lp, toy_query, None, None, tighten=True)
         with pytest.raises(ValueError):
-            expand(toy, toy_query, root, SplitAction(neuron, Phase.INACTIVE),
-                   tighten=True)
+            expand(toy_lp, toy_query, root,
+                   SplitAction(neuron, Phase.INACTIVE), tighten=True)
 
     def test_children_partition_parent(self, toy, toy_query):
         # sampled points of the parent region land in exactly one strict

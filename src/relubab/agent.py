@@ -108,7 +108,11 @@ def featurize(net: Network, node, scores: HeuristicScores,
     Candidates cover exactly the unfixed neurons x {Active, Inactive},
     sorted by (NeuronId, phase) with Active first. Bound features are
     min-max normalized against the network-wide root-node bound range
-    (fctx), which keeps cross-neuron width differences visible.
+    (fctx), which keeps cross-neuron width differences visible. The
+    soi_error and babsr_score columns are min-max normalized over the
+    node's own unfixed neurons: the neuron that the soi or babsr rule
+    would split reads 1 in every node, whatever the scale of that node's
+    scores (0.5 on a tie of all of them).
     """
     unfixed = scores.unfixed
     if not len(unfixed):
@@ -122,6 +126,7 @@ def featurize(net: Network, node, scores: HeuristicScores,
     rlo, rhi, rplo, rphi = fctx.root_scales
     bounds = node.bounds
     status = node.phases[unfixed]
+    soi, babsr = scores.soi[unfixed], scores.babsr[unfixed]
     local = np.array((
         _minmax(bounds.pre_lower[unfixed], rlo, rhi),
         _minmax(bounds.pre_upper[unfixed], rlo, rhi),
@@ -129,8 +134,8 @@ def featurize(net: Network, node, scores: HeuristicScores,
         _minmax(bounds.post_upper[unfixed], rplo, rphi),
         status == Phase.ACTIVE.value, status == Phase.INACTIVE.value,
         status == Phase.UNFIXED.value,
-        scores.soi[unfixed], scores.polarity[unfixed],
-        scores.babsr[unfixed],
+        _minmax(soi, soi.min(), soi.max()), scores.polarity[unfixed],
+        _minmax(babsr, babsr.min(), babsr.max()),
     ), dtype=float).T
     width = local.shape[1]
     matrix = np.empty((len(_PHASE_ORDER) * len(unfixed), INPUT_WIDTH))

@@ -77,6 +77,29 @@ class TestFeaturize:
         assert np.all(state.matrix[:, 10:13] >= 0.0)
         assert np.all(state.matrix[:, 10:13] <= 1.0 + 1e-12)
 
+    def test_scores_normalized_within_node(self, toy, toy_query, toy_lp):
+        from relubab.heuristics import HeuristicScores
+        root = expand(toy_lp, toy_query, None, None, tighten=True)
+        fctx = FeatureContext(root.bounds)
+        soi = FEATURE_NAMES.index("soi_error")
+        babsr = FEATURE_NAMES.index("babsr_score")
+
+        def matrix(soi_values, babsr_values):
+            scores = HeuristicScores(
+                unfixed=np.array([0, 1]), soi=np.array(soi_values),
+                polarity=np.zeros(2), babsr=np.array(babsr_values),
+                pi=np.zeros(2))
+            return featurize(toy, root, scores, fctx).matrix
+
+        m = matrix([0.2, 0.7], [5.0, -3.0])
+        # rows: (N1, Active), (N1, Inactive), (N2, Active), (N2, Inactive)
+        assert m[:, soi].tolist() == [0.0, 0.0, 1.0, 1.0]
+        assert m[:, babsr].tolist() == [1.0, 1.0, 0.0, 0.0]
+        np.testing.assert_array_equal(matrix([200.0, 700.0], [50.0, -30.0]),
+                                      m)
+        tied = matrix([0.4, 0.4], [1.0, 1.0])
+        assert tied[:, [soi, babsr]].tolist() == [[0.5, 0.5]] * 4
+
     def test_no_unfixed_rejected(self, toy, toy_query, toy_lp):
         from relubab.heuristics import HeuristicScores
         root = expand(toy_lp, toy_query, None, None, tighten=True)

@@ -55,7 +55,7 @@ from __future__ import annotations
 import logging
 import math
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -631,8 +631,11 @@ def generate_demonstrations(instances: Sequence[tuple[Network, Query]],
 
     Per query, either run the named static heuristic, or run all four and
     keep the trajectory of the fastest (fewest iterations) one that solved
-    it. Only the decisions the strategy controls (beyond the shared
-    initial-split depth) become transitions.
+    it, the first on a tie. Only a strictly faster run can replace the
+    best, so each later strategy runs with one node fewer than the best as
+    its iteration budget, and none runs once the best took one node. Only
+    the decisions the strategy controls (beyond the shared initial-split
+    depth) become transitions.
     """
     budget = budget or Budget()
     candidates = (expert,) if expert is not None else STATIC_STRATEGIES
@@ -643,12 +646,15 @@ def generate_demonstrations(instances: Sequence[tuple[Network, Query]],
         for strategy in candidates:
             log: list = []
             collector = TrajectoryCollector()
-            verdict = verify(net, query, strategy, budget, tighten=tighten,
-                             event_log=log, collector=collector)
+            verdict = verify(net, query, strategy, budget if best is None
+                             else replace(budget, max_iterations=best[0] - 1),
+                             tighten=tighten, event_log=log,
+                             collector=collector)
             if verdict.outcome not in ("SAT", "UNSAT"):
                 continue
-            if best is None or verdict.iterations < best[0]:
-                best = (verdict.iterations, strategy, log, collector.steps)
+            best = (verdict.iterations, strategy, log, collector.steps)
+            if best[0] == 1:
+                break
         if best is None:
             continue
         _, strategy, log, steps = best

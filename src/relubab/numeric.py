@@ -14,11 +14,13 @@ Three layers of machinery live here:
   tableau. ``column_bounds`` finds the minimum and maximum of many columns
   at once: one phase 2 per bound, each from the phase-1 basis, all
   pivoting together on a stack of tableaux;
-* a node's LPs: ``NodeLP``, the SoI LP of a query, which keeps one
-  layout at every node so that a child starts from its parent's final
-  basis; and the triangle LP relaxation of ``build_relaxation``, with
-  LP-based bound tightening on top of it, one phase 1 from the crash
-  basis and one ``column_bounds`` call per node.
+* a node's LPs: ``NodeLP``, one layout per query at every node, so that
+  an LP starts from the final basis of a like LP; the SoI LP, and the
+  bound-tightening LP (the same layout without SoI rows and columns),
+  which bounds the unfixed pre-activations with one phase 1 and one
+  ``column_bounds`` call per deduction round. ``build_relaxation``
+  assembles the same triangle relaxation from scratch, with fixed ReLUs
+  as equalities; the tests compare the layouts against it.
 
 A node's phases are one int8 vector in ``Network.relu_ids()`` order,
 holding ``Phase`` codes; its pre- and post-activation bounds are flat
@@ -32,6 +34,7 @@ errors: branch-and-bound prunes on it.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, fields
 from enum import IntEnum
 from typing import Sequence
@@ -48,7 +51,8 @@ _PIVOT_EPS = 1e-9
 _RATIO_TIE = 1e-10
 # phase 1 prices a basic out of its box by more than this, short of TOL_LP,
 # so a small violation is removed where it can be rather than carried into
-# the solution; below it lies rounding noise that pivots cannot remove
+# the solution; below it lies rounding noise that pivots cannot remove.
+# Once a phase-1 basis repeats, TOL_LP takes its place
 _BOX_EPS = 1e-11
 
 
@@ -366,12 +370,15 @@ class BoundedSimplex:
         With ``c``, phase 2: minimize c.x from a feasible basis; returns
         True. With None, phase 1: minimize the total box violation of the
         basics. Its prices, -1 for a basic below its box and +1 for one
-        above it by more than _BOX_EPS, are recomputed at every pivot. In
-        its ratio test a violating basic moving toward its box stops at the
-        bound it violates and leaves the basis there; one moving away never
-        limits the step. Phase 1 returns True once no basic is out of its
-        box by more than _BOX_EPS, and when no column is eligible, whether
-        every basic lies within TOL_LP of its box.
+        above it by more than a margin, are recomputed at every pivot. The
+        margin is _BOX_EPS until a basis (with its nonbasic bounds) comes
+        back, as it can when basics violated by less than TOL_LP enter and
+        leave the priced set; from then on it is TOL_LP. In its ratio test
+        a violating basic moving toward its box stops at the bound it
+        violates and leaves the basis there; one moving away never limits
+        the step. Phase 1 returns True once no basic is out of its box by
+        more than the margin, and when no column is eligible, whether every
+        basic lies within TOL_LP of its box.
         """
         T, beta, basis, status = self.T, self.beta, self.basis, self.status
         cols, pos, lo, up = self.cols, self._pos, self.lo, self.up
@@ -391,11 +398,15 @@ class BoundedSimplex:
         # direction each column may move in: +1 at lower, -1 at upper, 0 basic
         st = status[cols]
         sgn = (st == self._LOWER).astype(float) - (st == self._UPPER)
-        iters = 0
+        iters, eps, seen = 0, _BOX_EPS, set()
         while True:
             if phase1:
-                np.less(beta, bl - _BOX_EPS, out=below)
-                np.greater(beta, bu + _BOX_EPS, out=above)
+                state = status.tobytes()
+                if state in seen:  # a cycle: price only what TOL_LP counts
+                    eps = TOL_LP
+                seen.add(state)
+                np.less(beta, bl - eps, out=below)
+                np.greater(beta, bu + eps, out=above)
                 if not (below.any() or above.any()):
                     return True
                 cb[:] = above
@@ -519,7 +530,8 @@ class BoundedSimplex:
         cols = np.asarray(cols, dtype=int)
         lo, up, movable = self.lo, self.up, self.cols
         m, k = self.T.shape
-        if not (m and k):  # nothing to pivot: each column spans its box
+        # nothing to pivot, or nothing to bound: each column spans its box
+        if not (m and k and cols.size):
             return lo[cols].copy(), up[cols].copy()
         # every column's tableau index, or the spare slot k for one that
         # cannot move: a leaving pinned basic writes its direction there,
@@ -737,16 +749,18 @@ def build_relaxation(net: Network, bounds: BoundsMap, phases: np.ndarray,
 
 
 class NodeLP:
-    """The SoI LP of one query, with one layout at every node.
+    """An LP of one query, with one layout at every node.
 
     Columns: ``vmap``'s inputs, each ReLU layer's pre- then
-    post-activations and the outputs, then one SoI auxiliary per ReLU
-    (columns ``t``, in relu_ids() order). Rows: the affine equalities layer by layer, then
-    four rows per ReLU in relu_ids() order (its two triangle rows, then
-    its two SoI rows), then the output rows. The matrix is built here
-    once; ``problem`` writes a node's boxes, triangle slopes and
-    right-hand sides into it, so a node's final basis is a valid start for
-    its children.
+    post-activations and the outputs; the SoI layout (``soi=True``) then
+    has one SoI auxiliary per ReLU (columns ``t``, in relu_ids() order).
+    Rows: the affine equalities layer by layer, then each ReLU's rows in
+    relu_ids() order (its two triangle rows, then, in the SoI layout, its
+    two SoI rows), then the output rows. The matrix is built here once;
+    ``problem`` writes a node's boxes, triangle slopes and right-hand sides
+    into it, so a node's final basis is a valid start for its children.
+    The SoI layout is the node's SoI LP; the one without SoI rows and
+    columns, ``tightening``, is its bound-tightening LP.
 
     A neuron that is active, or unfixed with pre lower bound >= 0, gets
     triangle slope 1 and intercept 0: its two triangle rows give post =
@@ -757,11 +771,13 @@ class NodeLP:
     ``build_relaxation`` (which drops what this keeps as redundant rows).
     """
 
-    def __init__(self, net: Network, output_constraints: Sequence = ()):
-        self.net = net
+    def __init__(self, net: Network, output_constraints: Sequence = (),
+                 soi: bool = True):
+        self.net, self.output_constraints, self.soi = \
+            net, output_constraints, soi
         r = net.num_relus
         n_in, n_out = net.input_dim, net.output_dim
-        n = n_in + 3 * r + n_out
+        n = n_in + (3 if soi else 2) * r + n_out
         n_eq = sum(layer.out_dim for layer in net.layers)
         a_eq, b_eq = np.zeros((n_eq, n)), np.zeros(n_eq)
         pre = np.empty(r, dtype=int)
@@ -785,26 +801,35 @@ class NodeLP:
         self.vmap = VarMap(x=slice(0, n_in), pre=pre, post=post, y=y,
                            n_vars=col + n_out)
         self.t = t = np.arange(col + n_out, n)
-        j = np.arange(r)
-        a_ub = np.zeros((4 * r + len(output_constraints), n))
+        # ReLU j's rows start at w * j: two triangle rows, then SoI rows
+        self._w = w = 4 if soi else 2
+        j = w * np.arange(r)
+        a_ub = np.zeros((w * r + len(output_constraints), n))
         b_ub = np.zeros(a_ub.shape[0])
-        a_ub[4 * j, pre] = 1.0          # post >= pre
-        a_ub[4 * j, post] = -1.0
-        a_ub[4 * j + 1, post] = 1.0     # post <= slope * (pre - a)
-        a_ub[4 * j + 2, t] = 1.0        # t <= post - pre
-        a_ub[4 * j + 2, post] = -1.0
-        a_ub[4 * j + 2, pre] = 1.0
-        a_ub[4 * j + 3, t] = 1.0        # t <= post
-        a_ub[4 * j + 3, post] = -1.0
+        a_ub[j, pre] = 1.0          # post >= pre
+        a_ub[j, post] = -1.0
+        a_ub[j + 1, post] = 1.0     # post <= slope * (pre - a)
+        if soi:
+            a_ub[j + 2, t] = 1.0    # t <= post - pre
+            a_ub[j + 2, post] = -1.0
+            a_ub[j + 2, pre] = 1.0
+            a_ub[j + 3, t] = 1.0    # t <= post
+            a_ub[j + 3, post] = -1.0
         for i, con in enumerate(output_constraints):
-            a_ub[4 * r + i, y] = con.coeffs
-            b_ub[4 * r + i] = con.bound
+            a_ub[w * r + i, y] = con.coeffs
+            b_ub[w * r + i] = con.bound
         self.a_eq, self.b_eq, self.a_ub, self.b_ub = a_eq, b_eq, a_ub, b_ub
 
+    @functools.cached_property
+    def tightening(self) -> "NodeLP":
+        """The query's bound-tightening LP: this layout without SoI rows
+        and ``t`` columns, built on first use."""
+        return NodeLP(self.net, self.output_constraints, soi=False)
+
     def problem(self, bounds: BoundsMap, phases: np.ndarray) -> LPProblem:
-        """The node's LP, maximizing the total SoI of its unfixed
-        neurons."""
-        vmap, r = self.vmap, self.net.num_relus
+        """The node's LP; in the SoI layout, maximizing the total SoI of
+        its unfixed neurons."""
+        vmap, r, w = self.vmap, self.net.num_relus, self._w
         lo, up = bounds.pre_lower, bounds.pre_upper
         unfixed = phases == Phase.UNFIXED.value
         tied = (phases == Phase.ACTIVE.value) | (unfixed & (lo >= 0.0))
@@ -812,8 +837,8 @@ class NodeLP:
         c_pre, c_rhs = -tied.astype(float), np.zeros(r)
         _, (c_pre[tri], _, c_rhs[tri]) = triangle_relaxation(lo[tri], up[tri])
         a_ub, b_ub = self.a_ub.copy(), self.b_ub.copy()
-        a_ub[4 * np.arange(r) + 1, vmap.pre] = c_pre
-        b_ub[1:4 * r:4] = c_rhs
+        a_ub[w * np.arange(r) + 1, vmap.pre] = c_pre
+        b_ub[1:w * r:w] = c_rhs
         n = self.a_ub.shape[1]
         lower, upper = np.zeros(n), np.zeros(n)
         for box, pre_b, post_b, in_b, out_b in (
@@ -823,17 +848,20 @@ class NodeLP:
                  bounds.output_upper)):
             box[vmap.x], box[vmap.y] = in_b, out_b
             box[vmap.pre], box[vmap.post] = pre_b, post_b
+        problem = LPProblem(lower=lower, upper=upper, a_eq=self.a_eq,
+                            b_eq=self.b_eq, a_ub=a_ub, b_ub=b_ub)
+        if not self.soi:
+            return problem
         # an unfixed neuron's t spans min(post - pre, post) over its boxes
         a_lo, a_hi = bounds.post_lower[unfixed], bounds.post_upper[unfixed]
         z_lo, z_hi = lo[unfixed], up[unfixed]
         t = self.t[unfixed]
         lower[t] = np.where(a_lo < a_lo - z_hi, a_lo, a_lo - z_hi)
         upper[t] = np.where(a_hi < a_hi - z_lo, a_hi, a_hi - z_lo)
-        objective = np.zeros(n)
-        objective[t] = 1.0
-        return LPProblem(lower=lower, upper=upper, a_eq=self.a_eq,
-                         b_eq=self.b_eq, a_ub=a_ub, b_ub=b_ub,
-                         objective=objective, maximize=True)
+        problem.objective = np.zeros(n)
+        problem.objective[t] = 1.0
+        problem.maximize = True
+        return problem
 
 
 def solve_relaxation(lp: NodeLP, bounds: BoundsMap, phases: np.ndarray,
@@ -858,33 +886,33 @@ def solve_relaxation(lp: NodeLP, bounds: BoundsMap, phases: np.ndarray,
     return result
 
 
-def tighten_bounds_lp(net: Network, bounds: BoundsMap, phases: np.ndarray,
-                      output_constraints: Sequence = ()) -> BoundsMap:
-    """Min/max every input and every unfixed pre-activation over the node's
-    LP relaxation, intersecting with the incoming bounds (never widens).
+def tighten_bounds_lp(lp: NodeLP, bounds: BoundsMap, phases: np.ndarray,
+                      start: Basis | None = None
+                      ) -> tuple[BoundsMap, Basis]:
+    """Min/max every unfixed pre-activation over the node's LP relaxation
+    in the layout of ``lp`` (the query's ``NodeLP.tightening``),
+    intersecting with the incoming bounds (never widens). The input box and
+    every other bound come back unchanged.
 
-    One phase 1, then one ``column_bounds`` call: every bound is an optimum
-    reached from the phase-1 basis, so none depends on which bounds were
-    computed before it. Raises Conflict when the relaxation is infeasible.
+    Phase 1 starts from ``start`` (the phase-1 basis of an earlier
+    tightening LP of the query) when given, else from the crash basis; then
+    one ``column_bounds`` call, so every bound is an optimum reached from
+    the phase-1 basis and none depends on which bounds were computed before
+    it. Returns the bounds and that phase-1 basis, for the next tightening
+    LP to start from. Raises Conflict when the relaxation is infeasible.
     Tightened values are inflated by a tiny safety margin so later exact
     comparisons stay sound.
     """
-    problem, vmap = build_relaxation(net, bounds, phases, output_constraints)
-    sx = BoundedSimplex(problem)
+    sx = BoundedSimplex(lp.problem(bounds, phases), start)
     if not sx.find_feasible():
         raise Conflict("node relaxation infeasible")
     unfixed = (phases == Phase.UNFIXED.value).nonzero()[0]
-    lo, hi = sx.column_bounds(
-        np.concatenate([np.arange(net.input_dim), vmap.pre[unfixed]]))
+    lo, hi = sx.column_bounds(lp.vmap.pre[unfixed])
     lo -= _BOUND_SAFETY
     hi += _BOUND_SAFETY
     # intersect; np.where keeps the old bound on a tie, as max()/min() do
-    old_lo = np.concatenate([bounds.input_lower, bounds.pre_lower[unfixed]])
-    old_hi = np.concatenate([bounds.input_upper, bounds.pre_upper[unfixed]])
-    lo = np.where(lo > old_lo, lo, old_lo)
-    hi = np.where(hi < old_hi, hi, old_hi)
-    n_in = net.input_dim
+    old_lo, old_hi = bounds.pre_lower[unfixed], bounds.pre_upper[unfixed]
     out = bounds.copy()
-    out.input_lower, out.input_upper = lo[:n_in], hi[:n_in]
-    out.pre_lower[unfixed], out.pre_upper[unfixed] = lo[n_in:], hi[n_in:]
-    return out
+    out.pre_lower[unfixed] = np.where(lo > old_lo, lo, old_lo)
+    out.pre_upper[unfixed] = np.where(hi < old_hi, hi, old_hi)
+    return out, sx.final_basis()

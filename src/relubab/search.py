@@ -70,10 +70,12 @@ class NodeState:
     ``soi_errors`` holds the soi_error of every ReLU at the relaxation's
     optimum, in relu_ids() order, and ``soi`` is their total. ``basis`` is
     the final basis of the node's SoI LP, from which its children's SoI
-    LPs start. A conflict node carries no bounds, SoI or basis; its phases
-    are those deduced before the conflict. ``node_id`` and
-    ``splits_so_far`` (the run's split count when the node was visited)
-    are set by the engine.
+    LPs start; ``tighten_basis`` is the phase-1 basis of the last LP
+    tightening on the path to it (None when none ran), from which its
+    children's first tightening LPs start. A conflict node carries no
+    bounds, SoI or bases; its phases are those deduced before the
+    conflict. ``node_id`` and ``splits_so_far`` (the run's split count
+    when the node was visited) are set by the engine.
     """
 
     phases: np.ndarray  # int8 Phase codes in relu_ids() order
@@ -84,6 +86,7 @@ class NodeState:
     soi: float | None = None
     witness: np.ndarray | None = None
     basis: Basis | None = None
+    tighten_basis: Basis | None = None
     action: SplitAction | None = None
     parent_id: int = -1
     node_id: int = -1
@@ -210,25 +213,30 @@ def _interval_output_conflict(bounds: BoundsMap, constraints) -> None:
             raise Conflict(f"output interval violates {con}")
 
 
-def _deduce_bounds(net: Network, query: Query, phases: np.ndarray,
-                   clip: BoundsMap | None, tighten: bool) -> BoundsMap:
+def _deduce_bounds(lp: NodeLP, query: Query, phases: np.ndarray,
+                   clip: BoundsMap | None, tighten: bool,
+                   start: Basis | None) -> tuple[BoundsMap, Basis | None]:
     """Run deduction to a fixpoint, fixing ``phases`` in place.
 
-    Raises Conflict when the node is empty.
+    Each LP tightening starts from the phase-1 basis of the one before it,
+    the first from ``start``. Returns the bounds and the last phase-1 basis
+    (``start`` when no LP ran). Raises Conflict when the node is empty.
     """
     # settled: the last LP tightening fixed no phase, so one more
     # propagation that fixes none ends deduction
     carry, settled = clip, False
     while True:
-        bounds = propagate_intervals(net, query.input_lower, query.input_upper,
-                                     phases, clip=carry)
+        bounds = propagate_intervals(lp.net, query.input_lower,
+                                     query.input_upper, phases, clip=carry)
         _interval_output_conflict(bounds, query.constraints)
         if deduce_phases(bounds, phases):
             carry, settled = bounds, False
             continue
-        if settled or not tighten:
-            return bounds
-        carry = tighten_bounds_lp(net, bounds, phases, query.constraints)
+        # with no neuron unfixed there is no bound to tighten, and the SoI
+        # LP's phase 1 decides whether the node is empty
+        if settled or not tighten or not (phases == Phase.UNFIXED.value).any():
+            return bounds, start
+        carry, start = tighten_bounds_lp(lp.tightening, bounds, phases, start)
         settled = not deduce_phases(carry, phases)
 
 
@@ -237,6 +245,9 @@ def expand(lp: NodeLP, query: Query, parent: NodeState | None,
     """The deduced child of ``parent`` under ``action``; the root node when
     both are None. ``lp`` is the query's SoI LP (``NodeLP(net,
     query.constraints)``); the child's starts from the parent's final basis.
+    With ``tighten``, the child's first tightening LP (``lp.tightening``)
+    starts from the parent's last phase-1 basis, and each later one in its
+    deduction from the one before.
 
     A Conflict during deduction yields a closed child (status "conflict")
     rather than an exception; the sibling is the expansion under the
@@ -246,17 +257,19 @@ def expand(lp: NodeLP, query: Query, parent: NodeState | None,
     net = lp.net
     if parent is None:
         phases = np.full(net.num_relus, Phase.UNFIXED.value, dtype=np.int8)
-        depth, clip, parent_id = 0, None, -1
+        depth, clip, parent_id, start = 0, None, -1, None
     else:
         u = net.relu_index(action.neuron)
         if parent.phases[u] != Phase.UNFIXED.value:
             raise ValueError(f"{action.neuron} is not unfixed in this node")
         phases = parent.phases.copy()
         phases[u] = action.phase
-        depth, clip, parent_id = (parent.depth + 1, parent.bounds,
-                                  parent.node_id)
+        depth, clip, parent_id, start = (parent.depth + 1, parent.bounds,
+                                         parent.node_id,
+                                         parent.tighten_basis)
     try:
-        bounds = _deduce_bounds(net, query, phases, clip, tighten)
+        bounds, tighten_basis = _deduce_bounds(lp, query, phases, clip,
+                                               tighten, start)
         result = solve_relaxation(lp, bounds, phases,
                                   parent.basis if parent else None)
         if not result.feasible:
@@ -278,7 +291,8 @@ def expand(lp: NodeLP, query: Query, parent: NodeState | None,
                 "validation; solver tolerance breach")
     return NodeState(phases=phases, depth=depth, status=status, bounds=bounds,
                      soi_errors=soi_errors, soi=soi, witness=witness,
-                     basis=result.basis, action=action, parent_id=parent_id)
+                     basis=result.basis, tighten_basis=tighten_basis,
+                     action=action, parent_id=parent_id)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from relubab.agent import (FEATURE_NAMES, INPUT_WIDTH, AgentPolicy, QNet,
                            save_checkpoint, train, train_step,
                            update_priorities)
 from relubab.harness import gen_random_suite
-from relubab.heuristics import INITIAL_SPLIT_DEPTH
+from relubab.heuristics import INITIAL_SPLIT_DEPTH, STATIC_STRATEGIES
 from relubab.model import NeuronId
 from relubab.numeric import NodeLP, Phase
 from relubab.query import example_property
@@ -753,6 +753,33 @@ class TestDemonstrationsAndTraining:
         assert all(t.depth >= 4 for t in transitions)
         assert set(experts.values()) <= {"soi", "polarity", "pseudo-impact",
                                          "babsr"}
+
+    def test_pruned_demonstrations_match_full_runs(self):
+        # each later strategy stops one node short of the best so far; the
+        # transitions are those of the fastest full run (the first on a
+        # tie), which generate_demonstrations(expert=...) replays
+        def key(tr):
+            return (tr.state.candidates, tr.state.matrix.tobytes(),
+                    tr.action, tr.reward,
+                    tr.next_state and tr.next_state.matrix.tobytes(),
+                    tr.terminal, tr.is_demo, tr.neuron, tr.phase, tr.k,
+                    tr.actual, tr.full, tr.node_id, tr.depth)
+
+        budget = Budget(max_iterations=3000)
+        experts = set()
+        for inst in gen_random_suite(seed=202, count=4):
+            pair = (inst.net, inst.query)
+            runs = [verify(*pair, s, budget, tighten=False).iterations
+                    for s in STATIC_STRATEGIES]
+            best = STATIC_STRATEGIES[runs.index(min(runs))]
+            full, _ = generate_demonstrations([pair], budget, tighten=False,
+                                              expert=best)
+            pruned, expert_of = generate_demonstrations([pair], budget,
+                                                        tighten=False)
+            assert expert_of == {inst.query.label: best}
+            assert [key(t) for t in pruned] == [key(t) for t in full]
+            experts.add(best)
+        assert experts - {STATIC_STRATEGIES[0]}  # some later run was pruned
 
     def test_single_expert_demonstrations(self):
         insts = gen_random_suite(seed=41, count=4, n_relus=(9, 12))

@@ -1,4 +1,6 @@
 import copy
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -223,15 +225,24 @@ class TestSolveLP:
         assert res.status == "infeasible"
 
 
+def _tighten(net, bounds, phases, constraints=()):
+    """tighten_bounds_lp's bounds in the query's tightening layout, from a
+    crash start."""
+    return tighten_bounds_lp(NodeLP(net, constraints).tightening, bounds,
+                             phases)[0]
+
+
 class TestTightenBounds:
     def test_n1_inactive_deduces_inputs(self, toy):
-        # without the output rows: x1 <= 0 and hence n2 pre <= 0
+        # without the output rows the LP deduces x1 <= 0, and hence n2 pre
+        # <= 0; the LP bounds no input, so the box comes back as it was
         phases = phase_vector(toy, {N1: Phase.INACTIVE})
         bounds = propagate_intervals(toy, toy.input_lower, toy.input_upper,
                                      phases)
-        tightened = tighten_bounds_lp(toy, bounds, phases)
-        assert tightened.input_upper[0] == pytest.approx(0.0, abs=1e-6)
+        tightened = _tighten(toy, bounds, phases)
         assert tightened.pre_upper[1] == pytest.approx(0.0, abs=1e-6)
+        assert tightened.input_lower.tolist() == bounds.input_lower.tolist()
+        assert tightened.input_upper.tolist() == bounds.input_upper.tolist()
 
     def test_n1_inactive_with_property_conflicts(self, toy, toy_query):
         # post1 pinned to 0 makes y >= 0, contradicting y <= -0.5
@@ -239,24 +250,54 @@ class TestTightenBounds:
         bounds = propagate_intervals(toy, toy.input_lower, toy.input_upper,
                                      phases)
         with pytest.raises(Conflict):
-            tighten_bounds_lp(toy, bounds, phases, toy_query.constraints)
+            _tighten(toy, bounds, phases, toy_query.constraints)
 
     def test_n2_active_tightens_x1(self, toy):
+        # n2 active: x1 >= x2 >= 0, which shows as n1 = 2 x1 >= 0; the LP
+        # bounds no input, so the box comes back as it was
         phases = phase_vector(toy, {N2: Phase.ACTIVE})
         bounds = propagate_intervals(toy, toy.input_lower, toy.input_upper,
                                      phases)
-        tightened = tighten_bounds_lp(toy, bounds, phases)
-        assert tightened.input_lower[0] == pytest.approx(0.0, abs=1e-6)
+        tightened = _tighten(toy, bounds, phases)
+        assert bounds.pre_lower[0] == -2.0
+        assert tightened.pre_lower[0] == pytest.approx(0.0, abs=1e-6)
+        assert tightened.input_lower.tolist() == bounds.input_lower.tolist()
+        assert tightened.input_upper.tolist() == bounds.input_upper.tolist()
+
+    def test_only_unfixed_pre_bounds_move(self):
+        # the LP bounds only the unfixed pre-activations; with none unfixed
+        # every bound comes back as it was
+        rng = np.random.default_rng(14)
+        for _ in range(25):
+            net = make_random_net(rng)
+            phases = np.where(rng.random(net.num_relus) < 0.5,
+                              Phase.UNFIXED.value,
+                              Phase.ACTIVE.value).astype(np.int8)
+            for ph in (phases, np.full_like(phases, Phase.ACTIVE.value)):
+                try:
+                    bounds = propagate_intervals(
+                        net, net.input_lower, net.input_upper, ph)
+                    tightened = _tighten(net, bounds, ph)
+                except Conflict:
+                    continue
+                fixed = ph != Phase.UNFIXED.value
+                for name in ("input_lower", "input_upper", "post_lower",
+                             "post_upper", "output_lower", "output_upper"):
+                    assert getattr(tightened, name).tobytes() == \
+                        getattr(bounds, name).tobytes()
+                for name in ("pre_lower", "pre_upper"):
+                    assert getattr(tightened, name)[fixed].tobytes() == \
+                        getattr(bounds, name)[fixed].tobytes()
 
     def test_fixpoint_stable(self, toy):
         phases = phase_vector(toy)
         bounds = propagate_intervals(toy, toy.input_lower, toy.input_upper,
                                      phases)
-        once = tighten_bounds_lp(toy, bounds, phases)
-        twice = tighten_bounds_lp(toy, once, phases)
-        np.testing.assert_allclose(twice.input_lower, once.input_lower,
+        once = _tighten(toy, bounds, phases)
+        twice = _tighten(toy, once, phases)
+        np.testing.assert_allclose(twice.pre_lower, once.pre_lower,
                                    atol=1e-7)
-        np.testing.assert_allclose(twice.input_upper, once.input_upper,
+        np.testing.assert_allclose(twice.pre_upper, once.pre_upper,
                                    atol=1e-7)
 
     def test_never_widens(self):
@@ -266,11 +307,48 @@ class TestTightenBounds:
             phases = phase_vector(net)
             bounds = propagate_intervals(net, net.input_lower,
                                          net.input_upper, phases)
-            tightened = tighten_bounds_lp(net, bounds, phases)
+            tightened = _tighten(net, bounds, phases)
             assert (tightened.input_lower >= bounds.input_lower - 1e-12).all()
             assert (tightened.input_upper <= bounds.input_upper + 1e-12).all()
             assert (tightened.pre_lower >= bounds.pre_lower - 1e-12).all()
             assert (tightened.pre_upper <= bounds.pre_upper + 1e-12).all()
+
+    def test_warm_start_matches_crash_start(self):
+        # a child's tightening LP started from its parent's phase-1 basis
+        # reaches the bounds of a crash start, or the same conflict
+        rng = np.random.default_rng(15)
+        compared = 0
+        for _ in range(40):
+            net = make_random_net(rng)
+            lp = NodeLP(net).tightening
+            phases = phase_vector(net)
+            root, basis = tighten_bounds_lp(lp, propagate_intervals(
+                net, net.input_lower, net.input_upper, phases), phases)
+            child = phases.copy()
+            child[rng.integers(net.num_relus)] = rng.choice(
+                [Phase.ACTIVE.value, Phase.INACTIVE.value])
+            try:
+                bounds = propagate_intervals(net, net.input_lower,
+                                             net.input_upper, child,
+                                             clip=root)
+            except Conflict:
+                continue
+            results = []
+            for start in (basis, None):
+                try:
+                    results.append(tighten_bounds_lp(lp, bounds, child,
+                                                     start)[0])
+                except Conflict:
+                    results.append(None)
+            warm, cold = results
+            assert (warm is None) == (cold is None)
+            if warm is not None:
+                np.testing.assert_allclose(warm.pre_lower, cold.pre_lower,
+                                           rtol=0, atol=1e-8)
+                np.testing.assert_allclose(warm.pre_upper, cold.pre_upper,
+                                           rtol=0, atol=1e-8)
+                compared += 1
+        assert compared >= 20
 
     def test_column_order_changes_no_bit(self, monkeypatch):
         # every bound starts from the phase-1 basis, so solving the
@@ -282,7 +360,7 @@ class TestTightenBounds:
             phases = phase_vector(net)
             cases.append((net, phases, propagate_intervals(
                 net, net.input_lower, net.input_upper, phases)))
-        before = [tighten_bounds_lp(net, bounds, phases)
+        before = [_tighten(net, bounds, phases)
                   for net, phases, bounds in cases]
         column_bounds = BoundedSimplex.column_bounds
 
@@ -294,9 +372,8 @@ class TestTightenBounds:
 
         monkeypatch.setattr(BoundedSimplex, "column_bounds", shuffled)
         for (net, phases, bounds), want in zip(cases, before):
-            got = tighten_bounds_lp(net, bounds, phases)
-            for name in ("input_lower", "input_upper", "pre_lower",
-                         "pre_upper"):
+            got = _tighten(net, bounds, phases)
+            for name in ("pre_lower", "pre_upper"):
                 assert getattr(got, name).tobytes() == \
                     getattr(want, name).tobytes()
 
@@ -451,6 +528,33 @@ class TestStartBasis:
         assert 3 in sx.basis.tolist()
         assert sx.solution().tolist() == pytest.approx([0.0, 1.0])
 
+    def test_phase1_cycle_ends(self):
+        # a tightening LP (build_relaxation's layout, crash start) of
+        # gen_random_suite(seed=11, count=12, n_inputs=(3, 5),
+        # n_relus=(10, 14))[4] at the node root -> 0:3 inactive -> 0:6
+        # active, as reached when tightening also bounded the inputs. HiGHS
+        # finds it infeasible. Phase 1 came back to the basis of two pivots
+        # before, again and again, as basics violated by about 1e-10 (above
+        # _BOX_EPS, below TOL_LP) entered and left the priced set; it now
+        # prices only violations beyond TOL_LP once a basis repeats
+        data = json.loads((Path(__file__).parent / "data"
+                           / "phase1_cycle_lp.json").read_text())
+
+        def dense(entries, rows):
+            a = np.zeros((rows, data["n"]))
+            for i, j, v in entries:
+                a[i, j] = v
+            return a
+
+        problem = LPProblem(lower=np.array(data["lower"]),
+                            upper=np.array(data["upper"]),
+                            a_eq=dense(data["a_eq"], data["m_eq"]),
+                            b_eq=np.array(data["b_eq"]),
+                            a_ub=dense(data["a_ub"], data["m_ub"]),
+                            b_ub=np.array(data["b_ub"]))
+        sx = BoundedSimplex(problem)
+        assert not sx.find_feasible()
+
     def test_phase1_pivot_cap_raises(self):
         # x_i >= 1 as rows: each slack starts at -1 and takes one pivot
         problem = LPProblem(lower=np.zeros(3), upper=np.full(3, 10.0),
@@ -512,6 +616,12 @@ class TestColumnBounds:
         assert lo.tolist() == [0.0, 0.0]
         assert hi.tolist() == [1.0, 1.0]
         assert sx.basis.tolist() == [0]  # the phase-1 basis is kept
+
+    def test_no_columns(self):
+        sx = BoundedSimplex(TestSimplexKernel.STAIRS)
+        assert sx.find_feasible()
+        lo, hi = sx.column_bounds([])
+        assert lo.shape == hi.shape == (0,)
 
     def test_needs_feasible_basis(self):
         with pytest.raises(LPError):
@@ -692,6 +802,39 @@ class TestSimplexAgainstHighs:
                 copy.deepcopy(sx).optimize(c), abs=1e-9)
             assert col_hi == pytest.approx(
                 copy.deepcopy(sx).optimize(c, maximize=True), abs=1e-9)
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(relaxation_nodes())
+    def test_warm_tightening(self, case):
+        # the node's tightening LP started from the phase-1 basis of its
+        # network's root: HiGHS's status, and its min and max of every
+        # unfixed pre-activation (intersected with the incoming bounds),
+        # over build_relaxation's LP of the node
+        net, phases, bounds, con = case
+        lp = NodeLP(net, (con,)).tightening
+        unfixed = np.zeros(net.num_relus, dtype=np.int8)
+        try:
+            _, start = tighten_bounds_lp(lp, propagate_intervals(
+                net, net.input_lower, net.input_upper, unfixed), unfixed)
+        except Conflict:
+            start = None
+        problem, vmap = build_relaxation(net, bounds, phases, (con,))
+        feasible, _ = _highs(problem, np.zeros(vmap.n_vars))
+        try:
+            got, _ = tighten_bounds_lp(lp, bounds, phases, start)
+        except Conflict:
+            assert not feasible
+            return
+        assert feasible
+        for u in (phases == Phase.UNFIXED.value).nonzero()[0]:
+            c = np.zeros(vmap.n_vars)
+            c[vmap.pre[u]] = 1.0
+            lo, neg_hi = _highs(problem, c)[1], _highs(problem, -c)[1]
+            assert got.pre_lower[u] == pytest.approx(
+                max(lo, bounds.pre_lower[u]), abs=1e-8)
+            assert got.pre_upper[u] == pytest.approx(
+                min(-neg_hi, bounds.pre_upper[u]), abs=1e-8)
 
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])

@@ -142,16 +142,19 @@ class TestDeducePhases:
 class TestApplySplit:
     def test_active_split_tightens_input(self, toy_query, toy_lp):
         # phase fixing alone gives 2 x1 >= 0; the node LP also carries
-        # y <= -0.5, i.e. -2 x1 + post2 <= -0.5 with post2 >= 0, so the
-        # tightened lower bound is 0.25
+        # y <= -0.5, i.e. -2 x1 + post2 <= -0.5 with post2 >= 0, so x1 >=
+        # 0.25. The LP bounds no input (the box stays the query's), so the
+        # deduction shows in n2 = x1 - x2: its pre lower bound is 0.25 - 1
         root = expand(toy_lp, toy_query, None, None, tighten=True)
         child = expand(toy_lp, toy_query, root,
                        SplitAction(N1, Phase.ACTIVE), tighten=True)
         assert child.status == "open"
         assert child.depth == 1
         assert child.action == SplitAction(N1, Phase.ACTIVE)
-        assert child.bounds.input_lower[0] == pytest.approx(0.25, abs=1e-6)
-        assert child.bounds.input_lower[0] >= 0.0
+        assert child.bounds.pre_lower[1] == pytest.approx(-0.75, abs=1e-6)
+        assert child.bounds.input_lower.tolist() == \
+            toy_query.input_lower.tolist()
+        assert child.tighten_basis is not None
 
     def test_inactive_split_is_closed_child(self, toy_query, toy_lp):
         root = expand(toy_lp, toy_query, None, None, tighten=True)
@@ -189,6 +192,19 @@ class TestApplySplit:
         in_inactive = pre <= 0
         assert np.all((in_active ^ in_inactive)[strict])
         assert np.all(in_active | in_inactive)
+
+
+class TestPhaseOneCycle:
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_seed_11_query_is_unsat(self, strategy):
+        # when LP tightening also bounded the inputs, phase 1 of the
+        # tightening LP at root -> 0:3 inactive -> 0:6 active cycled to the
+        # pivot cap (tests/data/phase1_cycle_lp.json holds that LP)
+        inst = gen_random_suite(seed=11, count=12, n_inputs=(3, 5),
+                                n_relus=(10, 14))[4]
+        verdict = verify(inst.net, inst.query, strategy,
+                         Budget(max_iterations=2000), tighten=True)
+        assert verdict.outcome == "UNSAT"
 
 
 class TestEdgeNetworks:

@@ -19,11 +19,13 @@ from relubab.agent import AgentPolicy, QNet  # noqa: E402
 from relubab.harness import gen_random_suite  # noqa: E402
 from tracer import SPAN_NAMES, Tracer  # noqa: E402
 
-# spans a branch-and-bound node passes through
+# spans a branch-and-bound node passes through; numeric.build_relaxation is
+# a target that no node reaches any more (both node LPs keep one layout per
+# query, NodeLP), so it reads zero calls
 NODE_SPANS = (
     "search.verify", "numeric.propagate_intervals",
     "numeric.tighten_bounds_lp", "numeric.solve_relaxation",
-    "numeric.build_relaxation", "numeric.solve_lp", "numeric.simplex_setup",
+    "numeric.solve_lp", "numeric.simplex_setup",
     "numeric.simplex_phase1", "numeric.simplex_phase2",
     "heuristics.compute_scores", "heuristics.babsr_scores",
     "heuristics.select_split", "query.check_witness", "agent.featurize",

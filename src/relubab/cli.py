@@ -158,7 +158,7 @@ def cmd_bench(args) -> int:
                     max_iterations=args.max_iterations, seed=args.seed)
     try:
         records = run_suite(instances, args.strategies.split(","), budget,
-                            args.workers, args.out, args.checkpoint,
+                            args.out, args.checkpoint,
                             tighten=not args.no_tighten)
     except ValueError as err:  # raised before any job or output file
         raise SystemExit(f"--strategies {args.strategies}: {err}") from None
@@ -262,7 +262,6 @@ def main(argv=None) -> int:
                    help="comma-separated names from "
                         f"{', '.join(STATIC_STRATEGIES + ('agent',))}")
     p.add_argument("--checkpoint")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out")
     p.add_argument("--seed", type=int, default=0, help="records' seed label")
     _add_search_args(p)

@@ -18,7 +18,6 @@ from __future__ import annotations
 import csv
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -26,8 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .heuristics import STATIC_STRATEGIES
-from .model import Layer, Network, NeuronId, emit_nnet, evaluate_batch, \
-    load_nnet
+from .model import Layer, Network, emit_nnet, evaluate_batch, load_nnet
 from .numeric import LPProblem, solve_lp
 from .query import OutputConstraint, Query, Verdict, parse_property
 from .search import Budget, verify
@@ -45,18 +43,19 @@ def brute_force_verify(net: Network, query: Query) -> Verdict:
     Patterns are visited in binary counting order with bit 0 = the first
     ReLU, bit value 1 = active. iterations reports patterns checked.
     """
-    relus = net.relu_ids()
-    if len(relus) > ORACLE_RELU_GUARD:
-        raise ValueError(f"{len(relus)} ReLUs exceed the oracle guard "
+    n_relus = net.num_relus
+    if n_relus > ORACLE_RELU_GUARD:
+        raise ValueError(f"{n_relus} ReLUs exceed the oracle guard "
                          f"({ORACLE_RELU_GUARD})")
     n = net.input_dim
+    positions = np.arange(n_relus)
     t0 = time.monotonic()
     iterations = 0
-    for mask in range(2 ** len(relus)):
+    for mask in range(2 ** n_relus):
         iterations += 1
-        active = {relus[i] for i in range(len(relus)) if (mask >> i) & 1}
+        bits = (mask >> positions) & 1
         rows: list[np.ndarray] = []
-        rhs: list[float] = []
+        rhs: list = []
         m = np.eye(n)
         v = np.zeros(n)
         for k, layer in enumerate(net.layers):
@@ -64,15 +63,10 @@ def brute_force_verify(net: Network, query: Query) -> Verdict:
             v = layer.weight @ v + layer.bias
             if not layer.has_relu:
                 continue
-            keep = np.zeros(layer.out_dim)
-            for i in range(layer.out_dim):
-                if NeuronId(k, i) in active:
-                    rows.append(-m[i])      # pre >= 0
-                    rhs.append(v[i])
-                    keep[i] = 1.0
-                else:
-                    rows.append(m[i])       # pre <= 0
-                    rhs.append(-v[i])
+            keep = bits[net.relu_slices[k]]
+            s = 1 - 2 * keep    # active: pre >= 0, inactive: pre <= 0
+            rows.append(s[:, None] * m)
+            rhs.append(-s * v)
             m = keep[:, None] * m
             v = keep * v
         for con in query.constraints:
@@ -80,7 +74,7 @@ def brute_force_verify(net: Network, query: Query) -> Verdict:
             rhs.append(con.bound - float(con.coeffs @ v))
         result = solve_lp(LPProblem(
             lower=query.input_lower, upper=query.input_upper,
-            a_ub=np.array(rows), b_ub=np.array(rhs)))
+            a_ub=np.vstack(rows), b_ub=np.hstack(rhs)))
         if result.feasible:
             return Verdict(outcome="SAT", witness=result.x,
                            iterations=iterations, splits=0,
@@ -212,77 +206,50 @@ def make_strategy(name: str, checkpoint=None):
     return name
 
 
-def _record(inst: SuiteInstance, name: str, budget: Budget, checkpoint,
-            verdict: Verdict | None = None) -> RunRecord:
-    """The CSV row of one job; an ERROR row when the job raised."""
-    verdict = verdict or Verdict(outcome="ERROR")
-    return RunRecord(query_id=inst.query_id, strategy=name,
-                     verdict=verdict.outcome,
-                     wall_time_ms=verdict.wall_time_ms,
-                     iterations=verdict.iterations, splits=verdict.splits,
-                     seed=budget.seed, checkpoint=str(checkpoint or ""))
-
-
-def _run_one(inst: SuiteInstance, name: str, policy, checkpoint,
-             budget: Budget, tighten: bool) -> RunRecord:
-    try:
-        verdict = verify(inst.net, inst.query, policy, budget,
-                         tighten=tighten)
-    except Exception:
-        traceback.print_exc()
-        return _record(inst, name, budget, checkpoint)
-    return _record(inst, name, budget, checkpoint, verdict)
-
-
 def run_suite(instances: Sequence[SuiteInstance], strategies: Sequence[str],
-              budget: Budget | None = None, workers: int = 1,
-              out_dir: str | Path | None = None, checkpoint=None,
-              tighten: bool = True) -> list[RunRecord]:
-    """Every (query, strategy) pair under the budget.
+              budget: Budget | None = None, out_dir: str | Path | None = None,
+              checkpoint=None, tighten: bool = True) -> list[RunRecord]:
+    """Every (query, strategy) pair under the budget, run in order in this
+    process: for each query, each strategy in the given order.
 
     Each strategy name is resolved once, before any job runs, so an
     unknown name or an agent without a usable checkpoint raises ValueError
-    and the agent checkpoint is loaded once per call. Records are flushed
-    to CSV incrementally when an output directory is set, and a crashed
-    run becomes an ERROR row rather than a dropped one."""
+    and the agent checkpoint is loaded once per call. A job that raises
+    prints its traceback and becomes an ERROR row rather than a dropped
+    one. With an output directory, each record is written to its
+    ``records.csv`` and flushed as soon as it exists, so the file holds the
+    returned records in the same order."""
     if not instances or not strategies:
         raise ValueError("suite needs at least one query and strategy")
     budget = budget or Budget()
     policies = {name: make_strategy(name, checkpoint) for name in strategies}
-    jobs = [(inst, name) for inst in instances for name in strategies]
     csv_file = writer = None
     if out_dir is not None:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
         csv_file, writer = _open_records_csv(Path(out_dir) / "records.csv")
     records = []
-
-    def emit(rec: RunRecord):
-        records.append(rec)
-        if writer is not None:
-            writer.writerow(rec.row())
-            csv_file.flush()
-
     try:
-        if workers <= 1:
-            for inst, name in jobs:
-                emit(_run_one(inst, name, policies[name], checkpoint, budget,
-                              tighten))
-        else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = {pool.submit(_run_one, inst, name, policies[name],
-                                       checkpoint, budget, tighten):
-                           (inst, name) for inst, name in jobs}
-                for fut in as_completed(futures):
-                    try:
-                        emit(fut.result())
-                    except Exception:
-                        traceback.print_exc()
-                        emit(_record(*futures[fut], budget, checkpoint))
+        for inst in instances:
+            for name in strategies:
+                try:
+                    verdict = verify(inst.net, inst.query, policies[name],
+                                     budget, tighten=tighten)
+                except Exception:
+                    traceback.print_exc()
+                    verdict = Verdict(outcome="ERROR")
+                rec = RunRecord(query_id=inst.query_id, strategy=name,
+                                verdict=verdict.outcome,
+                                wall_time_ms=verdict.wall_time_ms,
+                                iterations=verdict.iterations,
+                                splits=verdict.splits, seed=budget.seed,
+                                checkpoint=str(checkpoint or ""))
+                records.append(rec)
+                if writer is not None:
+                    writer.writerow(rec.row())
+                    csv_file.flush()
     finally:
         if csv_file is not None:
             csv_file.close()
-    # parallel completion order is nondeterministic; normalize
-    records.sort(key=lambda r: (r.query_id, r.strategy))
     return records
 
 

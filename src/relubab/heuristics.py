@@ -62,8 +62,6 @@ def soi_error(n_b, n_a):
 def relu_soi(solution: np.ndarray, vmap: VarMap) -> np.ndarray:
     """soi_error of every ReLU neuron at a relaxation solution, in
     relu_ids() order."""
-    if solution is None or vmap is None:
-        raise ValueError("node has no relaxation solution")
     return soi_error(solution[vmap.pre], solution[vmap.post])
 
 

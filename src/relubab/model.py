@@ -1,15 +1,15 @@
 """Feed-forward ReLU network representation and NNet file I/O.
 
 Networks are immutable once constructed: weights and biases are stored as
-read-only float64 arrays, so a single Network can safely be shared between
-concurrent verification workers.
+read-only float64 arrays, so one Network can be shared by many queries
+and searches and none of them can change it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -188,7 +188,7 @@ def _split_values(line: str) -> list[str]:
     return [tok for tok in (t.strip() for t in line.split(",")) if tok]
 
 
-def load_nnet(text: str | Iterable[str]) -> Network:
+def load_nnet(text: str) -> Network:
     """Parse NNet-format text into a Network.
 
     Layout: optional ``//`` comment lines; then the counts line
@@ -197,10 +197,7 @@ def load_nnet(text: str | Iterable[str]) -> Network:
     ranges; then per layer the weight matrix row-by-row followed by
     one bias value per row. Values are comma-separated.
     """
-    if isinstance(text, str):
-        lines = text.splitlines()
-    else:
-        lines = [ln.rstrip("\n") for ln in text]
+    lines = text.splitlines()
 
     pos = 0
 

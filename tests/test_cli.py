@@ -73,9 +73,9 @@ def test_oracle_command(toy_files, capsys):
 @pytest.mark.parametrize("command, option", [
     ("oracle", ["--no-tighten"]), ("oracle", ["--seed", "3"]),
     ("oracle", ["--timeout-s", "5"]), ("oracle", ["--max-iterations", "5"]),
-    ("verify", ["--seed", "1"]),
+    ("verify", ["--seed", "1"]), ("bench", ["--workers", "2"]),
 ], ids=["oracle-no-tighten", "oracle-seed", "oracle-timeout-s",
-        "oracle-max-iterations", "verify-seed"])
+        "oracle-max-iterations", "verify-seed", "bench-workers"])
 def test_commands_reject_options_they_do_not_read(toy_files, capsys, command,
                                                   option):
     net, prop = toy_files

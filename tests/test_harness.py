@@ -119,19 +119,36 @@ class TestRunSuite:
                           r.splits, r.seed) for r in records])
         assert rows[0] == rows[1]
 
-    def test_parallel_matches_sequential(self, trained_checkpoint):
-        # the resolved agent policy crosses the process boundary
+    def test_records_in_job_order(self, trained_checkpoint, tmp_path):
+        # jobs run query by query, each strategy in the order given, and the
+        # returned list is the CSV's rows in the same order
         instances = gen_random_suite(seed=19, count=3)
-        results = {}
-        for workers in (1, 2):
-            results[workers] = [
-                (r.query_id, r.strategy, r.verdict, r.iterations, r.splits)
-                for r in run_suite(instances, ["babsr", "agent"],
-                                   Budget(seed=3), workers=workers,
-                                   checkpoint=trained_checkpoint)]
-        assert results[1] == results[2]
-        assert [r[1] for r in results[1]] == ["agent", "babsr"] * 3
-        assert all(r[2] in ("SAT", "UNSAT") for r in results[1])
+        records = run_suite(instances, ["babsr", "agent"], Budget(seed=3),
+                            out_dir=tmp_path, checkpoint=trained_checkpoint)
+        assert all(r.verdict in ("SAT", "UNSAT") for r in records)
+        assert [(r.query_id, r.strategy) for r in records] == \
+            [(inst.query_id, name) for inst in instances
+             for name in ("babsr", "agent")]
+        assert [r.row() for r in records] == \
+            [r.row() for r in read_records_csv(tmp_path / "records.csv")]
+
+    def test_raising_job_becomes_error_row(self, tmp_path, monkeypatch,
+                                           capsys):
+        real_verify = relubab.harness.verify
+
+        def flaky(net, query, policy, budget, tighten):
+            if policy == "soi":
+                raise RuntimeError("boom")
+            return real_verify(net, query, policy, budget, tighten=tighten)
+
+        monkeypatch.setattr(relubab.harness, "verify", flaky)
+        records = run_suite(gen_random_suite(seed=13, count=1),
+                            ["soi", "babsr"], Budget(seed=1), out_dir=tmp_path)
+        assert records[0].verdict == "ERROR"
+        assert records[1].verdict in ("SAT", "UNSAT")
+        assert "RuntimeError: boom" in capsys.readouterr().err
+        assert [r.row() for r in records] == \
+            [r.row() for r in read_records_csv(tmp_path / "records.csv")]
 
     def test_empty_config_rejected(self):
         with pytest.raises(ValueError):

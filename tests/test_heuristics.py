@@ -46,10 +46,6 @@ class TestSoiTotal:
         per_neuron = relu_soi(np.array([0.0, 0.0, 0.5, 0.5]), self.VMAP)
         np.testing.assert_array_equal(per_neuron, [0.5, 0.5])
 
-    def test_missing_solution(self):
-        with pytest.raises(ValueError):
-            relu_soi(None, None)
-
 
 class TestPolarity:
     def test_symmetric(self):

@@ -95,7 +95,7 @@ class TestLoadNNet:
 
     def test_truncated_file(self):
         with pytest.raises(NNetFormatError):
-            load_nnet(SIMPLE_231.splitlines()[0:6])
+            load_nnet("\n".join(SIMPLE_231.splitlines()[0:6]))
 
     def test_roundtrip_toy(self, toy):
         reloaded = load_nnet(emit_nnet(toy, comment="toy fixture"))

@@ -44,10 +44,12 @@ Checkpoint format v2 (text)::
     <one value per line>
 
 The layer blocks alone define the network; the hidden widths are their row
-counts. The ``config`` line records the trainer settings for provenance and
-is not read back. Loading checks the feature list against the featurizer
-and that the layer shapes chain from it to one output; any other file,
-including a v1 file (which had a ``hidden`` line), raises ValueError.
+counts. The ``config`` line records the run's ``TrainerConfig`` fields (not
+its class constants) for provenance. It is not read back, so a file whose
+line lists other keys, such as the 23 of earlier versions, loads the same.
+Loading checks the feature list against the featurizer and that the layer
+shapes chain from it to one output; any other file, including a v1 file
+(which had a ``hidden`` line), raises ValueError.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import ClassVar, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -152,6 +154,52 @@ def featurize(net: Network, node, scores: HeuristicScores,
 
 
 # ---------------------------------------------------------------------------
+# trainer settings
+
+
+@dataclass
+class TrainerConfig:
+    """The settings of one training run. The DQfD hyperparameters (Hester
+    et al., AAAI 2018) are class constants, each fixed at one value."""
+
+    learning_rate: ClassVar[float] = 1e-3  # gradient-descent step
+    gamma: ClassVar[float] = 0.9  # discount of the Double-DQN target
+    margin: ClassVar[float] = 0.8  # of the imitation (margin) loss
+    lambda_start: ClassVar[float] = 1.0  # its weight, annealed to 0
+    per_alpha: ClassVar[float] = 0.6  # sampling weight priority^alpha
+    per_beta_start: ClassVar[float] = 0.4  # importance-sampling exponent,
+    per_beta_end: ClassVar[float] = 1.0  # annealed over fine-tuning
+    per_eps: ClassVar[float] = 1e-3  # priority = |td| + per_eps
+    target_sync: ClassVar[int] = 500  # gradient steps per target copy
+    batch_size: ClassVar[int] = 32
+    buffer_capacity: ClassVar[int] = 100_000
+    hidden: ClassVar[tuple[int, ...]] = (64, 64)  # Q-network widths
+    epsilon_start: ClassVar[float] = 1.0  # exploration, see epsilon()
+    epsilon_decay: ClassVar[float] = 0.95
+    epsilon_min: ClassVar[float] = 0.05
+
+    demo_epochs: int = 5
+    demo_steps: int = 1000
+    finetune_epochs: int = 40
+    finetune_steps: int = 1000
+    seed: int = 0
+    run_max_iterations: int = 4000
+    run_timeout_s: float = 120.0
+    tighten: bool = True
+
+    def epsilon(self, episode: int) -> float:
+        """Exploration rate of a fine-tuning episode: geometric decay from
+        epsilon_start down to the epsilon_min floor."""
+        return max(self.epsilon_min,
+                   self.epsilon_start * self.epsilon_decay ** episode)
+
+    @property
+    def total_steps(self) -> int:
+        return (self.demo_epochs * self.demo_steps
+                + self.finetune_epochs * self.finetune_steps)
+
+
+# ---------------------------------------------------------------------------
 # Q-network
 
 
@@ -168,7 +216,7 @@ class QNet:
 
     @classmethod
     def create(cls, rng: np.random.Generator,
-               hidden: Sequence[int] = (64, 64)) -> "QNet":
+               hidden: Sequence[int] = TrainerConfig.hidden) -> "QNet":
         dims = [INPUT_WIDTH, *hidden, 1]
         weights, biases = [], []
         for fan_in, fan_out in zip(dims[:-1], dims[1:]):
@@ -365,7 +413,7 @@ class ReplayBuffer:
     """Demonstrations first, never evicted, then a ring of self-play entries
     in the remaining capacity; ``priority[i]`` belongs to ``items[i]``."""
 
-    def __init__(self, capacity: int = 100_000):
+    def __init__(self, capacity: int = TrainerConfig.buffer_capacity):
         self.capacity = capacity
         self.items: list[Transition] = []
         self.n_demo = 0
@@ -435,52 +483,6 @@ def update_priorities(buffer: ReplayBuffer, indices, td_errors,
 
 # ---------------------------------------------------------------------------
 # training
-
-
-@dataclass
-class TrainerConfig:
-    learning_rate: float = 1e-3
-    gamma: float = 0.9
-    margin: float = 0.8
-    lambda_start: float = 1.0
-    per_alpha: float = 0.6
-    per_beta_start: float = 0.4
-    per_beta_end: float = 1.0
-    per_eps: float = 1e-3
-    target_sync: int = 500
-    demo_epochs: int = 5
-    demo_steps: int = 1000
-    finetune_epochs: int = 40
-    finetune_steps: int = 1000
-    batch_size: int = 32
-    buffer_capacity: int = 100_000
-    hidden: tuple[int, ...] = (64, 64)
-    epsilon_start: float = 1.0
-    epsilon_decay: float = 0.95
-    epsilon_min: float = 0.05
-    seed: int = 0
-    run_max_iterations: int = 4000
-    run_timeout_s: float = 120.0
-    tighten: bool = True
-
-    def __post_init__(self):
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError("gamma must lie in [0, 1]")
-        if self.margin <= 0 or self.learning_rate <= 0:
-            raise ValueError("margin and learning rate must be positive")
-        if not 0.0 < self.epsilon_decay < 1.0:
-            raise ValueError("epsilon decay must lie in (0, 1)")
-
-    def epsilon(self, episode: int) -> float:
-        """Exploration rate of a fine-tuning episode: geometric decay from
-        epsilon_start down to the epsilon_min floor."""
-        return max(self.epsilon_min,
-                   self.epsilon_start * self.epsilon_decay ** episode)
-
-    @property
-    def total_steps(self) -> int:
-        return (self.demo_epochs * self.demo_steps
-                + self.finetune_epochs * self.finetune_steps)
 
 
 def _stack(states: Sequence[StateFeatures]) -> tuple[np.ndarray, np.ndarray]:
@@ -565,17 +567,17 @@ def compute_gradients(qnet: QNet, batch: Sequence[Transition],
 
 
 def train_step(qnet: QNet, target_qnet: QNet, batch: Sequence[Transition],
-               weights: np.ndarray, lam: float, config: TrainerConfig
-               ) -> tuple[float, np.ndarray]:
-    """One gradient-descent update; returns (loss, per-sample TD errors)."""
-    targets = prepare_targets(qnet, target_qnet, batch, config.gamma)
+               weights: np.ndarray, lam: float) -> tuple[float, np.ndarray]:
+    """One gradient-descent update with the TrainerConfig constants;
+    returns (loss, per-sample TD errors)."""
+    targets = prepare_targets(qnet, target_qnet, batch, TrainerConfig.gamma)
     total, grads, tds = compute_gradients(qnet, batch, targets, weights, lam,
-                                          config.margin)
+                                          TrainerConfig.margin)
     if not np.isfinite(total):
         raise RuntimeError(
             f"non-finite loss {total}; batch rewards "
             f"{[t.reward for t in batch]}, targets {targets}")
-    qnet.apply_gradients(grads, config.learning_rate)
+    qnet.apply_gradients(grads, TrainerConfig.learning_rate)
     return float(total), tds
 
 
@@ -740,7 +742,7 @@ def train(config: TrainerConfig,
         nonlocal target
         idx, batch, weights = sample_prioritized(
             buffer, config.batch_size, config.per_alpha, beta, rng)
-        loss, tds = train_step(qnet, target, batch, weights, lam, config)
+        loss, tds = train_step(qnet, target, batch, weights, lam)
         update_priorities(buffer, idx, tds, config.per_eps)
         loss_trace.append(loss)
         if len(loss_trace) % config.target_sync == 0:
@@ -805,13 +807,8 @@ def train(config: TrainerConfig,
 def save_checkpoint(path: str | Path, qnet: QNet, config: TrainerConfig):
     lines = ["relubab-checkpoint v2",
              "features " + ",".join(FEATURE_NAMES)]
-    cfg_items = []
-    for f in fields(config):
-        v = getattr(config, f.name)
-        if isinstance(v, tuple):
-            v = "/".join(str(x) for x in v)
-        cfg_items.append(f"{f.name}={v}")
-    lines.append("config " + " ".join(cfg_items))
+    lines.append("config " + " ".join(f"{f.name}={getattr(config, f.name)}"
+                                      for f in fields(config)))
     for i, (w, b) in enumerate(zip(qnet.weights, qnet.biases)):
         lines.append(f"layer {i} weight {w.shape[0]} {w.shape[1]}")
         for row in w:

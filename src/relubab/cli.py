@@ -9,13 +9,14 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .harness import (SuiteInstance, aggregate, brute_force_verify,
                       cumulative_curve, gen_random_suite, load_instance,
                       make_strategy, read_records_csv, run_suite,
                       write_curve, write_summary)
-from .heuristics import STATIC_STRATEGIES
+from .heuristics import INITIAL_SPLIT_DEPTH, STATIC_STRATEGIES
 from .model import Network, load_nnet
 from .query import PropertyFormatError, load_robustness_manifest, \
     make_robustness_queries, parse_property
@@ -52,6 +53,17 @@ def _read(path: str) -> str:
         return Path(path).read_text()
     except OSError as err:  # missing file, a directory, no permission
         raise _unreadable(path, err) from None
+
+
+def _budget(args) -> Budget:
+    """The search budget of --timeout-s and --max-iterations; a value that
+    is not positive exits with a one-line message naming its option."""
+    for option, value in (("--timeout-s", args.timeout_s),
+                          ("--max-iterations", args.max_iterations)):
+        if not value > 0:
+            raise SystemExit(f"{option} must be positive, got {value}")
+    return Budget(timeout_s=args.timeout_s,
+                  max_iterations=args.max_iterations)
 
 
 def _load_queries(args) -> tuple[Network, list]:
@@ -94,6 +106,7 @@ def _witness_text(verdict) -> str:
 
 
 def cmd_verify(args) -> int:
+    budget = _budget(args)
     net, queries = _load_queries(args)
     try:
         strategy = make_strategy(args.strategy, args.checkpoint)
@@ -101,8 +114,6 @@ def cmd_verify(args) -> int:
         raise SystemExit(f"--strategy {args.strategy}: {err}") from None
     except OSError as err:  # a --checkpoint that cannot be read
         raise _unreadable(args.checkpoint, err) from None
-    budget = Budget(timeout_s=args.timeout_s,
-                    max_iterations=args.max_iterations)
     any_sat = False
     logs = []
     for query in queries:
@@ -153,9 +164,8 @@ def _suite_instances(args) -> list[SuiteInstance]:
 
 
 def cmd_bench(args) -> int:
+    budget = replace(_budget(args), seed=args.seed)
     instances = _suite_instances(args)
-    budget = Budget(timeout_s=args.timeout_s,
-                    max_iterations=args.max_iterations, seed=args.seed)
     try:
         records = run_suite(instances, args.strategies.split(","), budget,
                             args.out, args.checkpoint,
@@ -178,7 +188,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_train(args) -> int:
-    from .agent import TrainerConfig, train
+    from .agent import TrainerConfig, generate_demonstrations, train
+    budget = _budget(args)
     instances = _suite_instances(args)
     pairs = [(inst.net, inst.query) for inst in instances]
     n_demo = max(1, round(args.demo_fraction * len(pairs)))
@@ -186,8 +197,17 @@ def cmd_train(args) -> int:
         seed=args.seed, demo_epochs=args.demo_epochs,
         demo_steps=args.demo_steps, finetune_epochs=args.finetune_epochs,
         finetune_steps=args.finetune_steps,
-        run_timeout_s=args.timeout_s, run_max_iterations=args.max_iterations,
+        run_timeout_s=budget.timeout_s,
+        run_max_iterations=budget.max_iterations,
         tighten=not args.no_tighten)
+    demos, _ = generate_demonstrations(pairs[:n_demo], budget,
+                                       tighten=config.tighten)
+    if not demos:
+        raise SystemExit(
+            f"no demonstration transitions were produced from the first "
+            f"{n_demo} of {len(pairs)} queries (an expert must solve one "
+            f"with a split deeper than depth {INITIAL_SPLIT_DEPTH}); "
+            f"raise --demo-fraction")
     # the trainer's per-epoch progress lines go to stdout for this command
     progress = logging.getLogger("relubab.train")
     handler = logging.StreamHandler(sys.stdout)
@@ -195,8 +215,8 @@ def cmd_train(args) -> int:
     progress.addHandler(handler)
     progress.setLevel(logging.INFO)
     try:
-        result = train(config, pairs[:n_demo], pairs[n_demo:],
-                       checkpoint_dir=args.out)
+        result = train(config, [], pairs[n_demo:], checkpoint_dir=args.out,
+                       demo_transitions=demos)
     finally:
         progress.removeHandler(handler)
         progress.setLevel(level)
@@ -209,7 +229,15 @@ def cmd_train(args) -> int:
 
 
 def cmd_report(args) -> int:
-    records = read_records_csv(args.records)
+    try:
+        records = read_records_csv(args.records)
+    except OSError as err:
+        raise _unreadable(args.records, err) from None
+    except KeyError as err:
+        raise SystemExit(f"cannot read {args.records}: no {err} column") \
+            from None
+    except ValueError as err:  # a value that does not parse
+        raise SystemExit(f"cannot read {args.records}: {err}") from None
     summaries = aggregate(records, args.budget_ms)
     out = Path(args.out) if args.out else Path(args.records).parent
     out.mkdir(parents=True, exist_ok=True)
@@ -226,6 +254,13 @@ def cmd_report(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    for size in ("inputs", "relus"):
+        low, high = getattr(args, f"min_{size}"), getattr(args, f"max_{size}")
+        if low < 1:
+            raise SystemExit(f"--min-{size} must be at least 1, got {low}")
+        if low > high:
+            raise SystemExit(f"--min-{size} {low} is above --max-{size} "
+                             f"{high}")
     instances = gen_random_suite(seed=args.seed, count=args.count,
                                  out_dir=args.out,
                                  n_inputs=(args.min_inputs, args.max_inputs),

@@ -287,7 +287,6 @@ def test_criterion_6_targets_margin_and_freeze():
                                            for i in range(4)),
                           matrix=probe_matrix)
     before = q_forward(target, probe).tobytes()
-    config = TrainerConfig(hidden=(8,), target_sync=10 ** 9)
     batch = []
     for _ in range(4):
         n = int(rng.integers(2, 5))
@@ -299,7 +298,7 @@ def test_criterion_6_targets_margin_and_freeze():
                                 reward=-0.5, next_state=None, terminal=True,
                                 is_demo=True))
     for _ in range(25):
-        train_step(qnet, target, batch, np.ones(4), 0.5, config)
+        train_step(qnet, target, batch, np.ones(4), 0.5)
     checks.append(q_forward(target, probe).tobytes() == before)
     _report(6, all(checks),
             "Double-DQN target, margin values exact at 1e-12; target "

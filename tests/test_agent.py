@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -207,12 +208,32 @@ class TestSchedules:
     def test_epsilon_floor(self):
         assert TrainerConfig().epsilon(1000) == 0.05
 
-    def test_epsilon_custom_decay(self):
-        config = TrainerConfig(epsilon_start=0.8, epsilon_decay=0.5,
-                               epsilon_min=0.1)
-        assert config.epsilon(1) == pytest.approx(0.4)
-        assert config.epsilon(3) == pytest.approx(0.1)
-        assert config.epsilon(4) == 0.1
+
+class TestTrainerConfig:
+    def test_fields_are_the_run_settings(self):
+        assert {f.name for f in dataclasses.fields(TrainerConfig)} == {
+            "seed", "demo_epochs", "demo_steps", "finetune_epochs",
+            "finetune_steps", "run_max_iterations", "run_timeout_s",
+            "tighten"}
+        with pytest.raises(TypeError):
+            TrainerConfig(gamma=0.5)
+
+    def test_hyperparameters_are_class_constants(self):
+        assert {name: getattr(TrainerConfig, name) for name in (
+            "learning_rate", "gamma", "margin", "lambda_start", "per_alpha",
+            "per_beta_start", "per_beta_end", "per_eps", "target_sync",
+            "batch_size", "buffer_capacity", "hidden", "epsilon_start",
+            "epsilon_decay", "epsilon_min")} == {
+            "learning_rate": 1e-3, "gamma": 0.9, "margin": 0.8,
+            "lambda_start": 1.0, "per_alpha": 0.6, "per_beta_start": 0.4,
+            "per_beta_end": 1.0, "per_eps": 1e-3, "target_sync": 500,
+            "batch_size": 32, "buffer_capacity": 100_000, "hidden": (64, 64),
+            "epsilon_start": 1.0, "epsilon_decay": 0.95,
+            "epsilon_min": 0.05}
+        assert ReplayBuffer().capacity == TrainerConfig.buffer_capacity
+        widths = [w.shape[0] for w in QNet.create(
+            np.random.default_rng(0)).weights]
+        assert widths == [*TrainerConfig.hidden, 1]
 
 
 class _FixedNet:
@@ -534,14 +555,17 @@ class TestTrainStep:
         state = random_state(rng, 3)
         q = q_forward(qnet, state)
         a = int(np.argmax(q))
+        dominant = q[a] - np.max(np.delete(q, a))
+        assert dominant > 0.0
+        # scale the output layer so that the expert leads by 2 * margin
+        qnet.weights[-1] *= 2 * TrainerConfig.margin / dominant
+        q = q_forward(qnet, state)
+        assert q[a] - np.max(np.delete(q, a)) > TrainerConfig.margin
         # reward equal to the current value of a terminal transition: td = 0
         batch = [Transition(state=state, action=a, reward=float(q[a]),
                             next_state=None, terminal=True, is_demo=True)]
-        dominant = q[a] - np.max(np.delete(q, a))
-        margin = max(1e-6, float(dominant) / 2)  # expert dominant by > m
         before = qnet.flatten()
-        config = TrainerConfig(margin=margin, hidden=(8,))
-        train_step(qnet, qnet.copy(), batch, np.ones(1), 1.0, config)
+        train_step(qnet, qnet.copy(), batch, np.ones(1), 1.0)
         np.testing.assert_array_equal(qnet.flatten(), before)
 
     def test_gradient_matches_finite_differences(self):
@@ -553,9 +577,8 @@ class TestTrainStep:
         qnet = QNet.create(rng, hidden=(8,))
         batch = make_batch(rng, 2)
         batch[0].reward = float("nan")
-        config = TrainerConfig(hidden=(8,))
         with pytest.raises(RuntimeError):
-            train_step(qnet, qnet.copy(), batch, np.ones(2), 0.5, config)
+            train_step(qnet, qnet.copy(), batch, np.ones(2), 0.5)
 
 
 def reference_targets(qnet, target_qnet, batch, gamma):
@@ -694,8 +717,7 @@ class TestStackedStep:
         target = _CountingQNet.create(rng, hidden=(8,))
         batch = _random_batch(rng, 32)
         batch[0].terminal = False
-        train_step(qnet, target, batch, np.ones(32), 0.5,
-                   TrainerConfig(hidden=(8,)))
+        train_step(qnet, target, batch, np.ones(32), 0.5)
         assert (qnet.forwards, target.forwards) == (2, 1)
         assert (qnet.backwards, target.backwards) == (1, 0)
 
@@ -733,10 +755,9 @@ class TestTargetFreeze:
         target = qnet.copy()
         probe = random_state(rng, 4)
         before = q_forward(target, probe).tobytes()
-        config = TrainerConfig(hidden=(8,), target_sync=10 ** 9)
         batch = make_batch(rng, 4)
         for _ in range(20):
-            train_step(qnet, target, batch, np.ones(4), 0.5, config)
+            train_step(qnet, target, batch, np.ones(4), 0.5)
         assert q_forward(target, probe).tobytes() == before
         assert q_forward(qnet, probe).tobytes() != before
 
@@ -797,12 +818,13 @@ class TestDemonstrationsAndTraining:
     def test_short_training_runs_and_is_deterministic(self):
         insts = gen_random_suite(seed=41, count=6, n_relus=(9, 12))
         pairs = [(i.net, i.query) for i in insts]
-        config = TrainerConfig(demo_epochs=1, demo_steps=30,
+        # 510 steps: the target network is copied once, at step 500
+        config = TrainerConfig(demo_epochs=1, demo_steps=470,
                                finetune_epochs=1, finetune_steps=40,
-                               seed=3, target_sync=20, run_max_iterations=500,
-                               tighten=False)
+                               seed=3, run_max_iterations=500, tighten=False)
         r1 = train(config, pairs[:3], pairs[3:])
         r2 = train(config, pairs[:3], pairs[3:])
+        assert len(r1.loss_trace) == 510 > TrainerConfig.target_sync
         assert r1.loss_trace == r2.loss_trace
         assert r1.episodes == r2.episodes
         for w1, w2 in zip(r1.qnet.weights, r2.qnet.weights):
@@ -816,7 +838,7 @@ class TestDemonstrationsAndTraining:
         demos, _ = generate_demonstrations(pairs, tighten=False,
                                            expert="babsr")
         config = TrainerConfig(demo_epochs=1, demo_steps=60,
-                               finetune_epochs=0, hidden=(8,), seed=4)
+                               finetune_epochs=0, seed=4)
         r1 = train(config, [], [], demo_transitions=demos)
         r2 = train(config, [], [], demo_transitions=demos)
         assert r1.loss_trace == r2.loss_trace
@@ -848,6 +870,35 @@ class TestCheckpoint:
         for a, b in zip(loaded.weights + loaded.biases,
                         qnet.weights + qnet.biases):
             assert a.shape == b.shape
+
+    def test_config_line_lists_the_fields(self, tmp_path):
+        path = tmp_path / "ck.txt"
+        save_checkpoint(path, QNet.create(np.random.default_rng(22),
+                                          hidden=(3,)), TrainerConfig(seed=9))
+        keys = [kv.split("=")[0]
+                for kv in path.read_text().splitlines()[2].split()[1:]]
+        assert keys == [f.name for f in dataclasses.fields(TrainerConfig)]
+
+    def test_config_line_of_23_keys_loads(self, tmp_path):
+        # the config line as written when every DQfD hyperparameter was a
+        # TrainerConfig field; the loader does not read it
+        rng = np.random.default_rng(15)
+        qnet = QNet.create(rng)
+        path = tmp_path / "ck.txt"
+        save_checkpoint(path, qnet, TrainerConfig(seed=9))
+        lines = path.read_text().splitlines(keepends=True)
+        lines[2] = (
+            "config learning_rate=0.001 gamma=0.9 margin=0.8 lambda_start=1.0"
+            " per_alpha=0.6 per_beta_start=0.4 per_beta_end=1.0 per_eps=0.001"
+            " target_sync=500 demo_epochs=5 demo_steps=1000"
+            " finetune_epochs=40 finetune_steps=1000 batch_size=32"
+            " buffer_capacity=100000 hidden=64/64 epsilon_start=1.0"
+            " epsilon_decay=0.95 epsilon_min=0.05 seed=9"
+            " run_max_iterations=4000 run_timeout_s=120.0 tighten=True\n")
+        assert len(lines[2].split()) == 1 + 23
+        path.write_text("".join(lines))
+        loaded = load_checkpoint(path)
+        assert loaded.flatten().tobytes() == qnet.flatten().tobytes()
 
     def test_v1_file_rejected(self, tmp_path):
         path = tmp_path / "ck.txt"

@@ -339,3 +339,68 @@ def test_train_command(tmp_path, capsys):
     assert main(["verify", "--net", str(net_path), "--prop", str(prop_path),
                  "--strategy", "agent", "--checkpoint", str(final)]) == 0
     assert "SAT" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("sizes, option", [
+    (["--min-relus", "5", "--max-relus", "3"], "--min-relus"),
+    (["--min-inputs", "0", "--max-inputs", "0"], "--min-inputs"),
+    (["--min-relus", "0"], "--min-relus"),
+    (["--min-inputs", "4", "--max-inputs", "2"], "--min-inputs"),
+], ids=["relus-above-max", "inputs-zero", "relus-zero", "inputs-above-max"])
+def test_gen_rejects_sizes_it_cannot_build(tmp_path, sizes, option):
+    out = tmp_path / "suite"
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--count", "2", "--out", str(out), *sizes])
+    message = str(exc.value.code)
+    assert message.startswith(option) and "\n" not in message
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "bench", "train"])
+@pytest.mark.parametrize("option", ["--timeout-s", "--max-iterations"])
+def test_non_positive_budget_exits_with_one_line(toy_files, tmp_path,
+                                                 command, option):
+    net, prop = toy_files
+    args = [command, "--net", str(net), "--prop", str(prop), option, "0"]
+    if command == "train":
+        args += ["--out", str(tmp_path / "agent")]
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    message = str(exc.value.code)
+    assert message.startswith(f"{option} must be positive")
+    assert "\n" not in message
+
+
+@pytest.mark.parametrize("text, reason", [
+    (None, "cannot read"),
+    ("query_id,strategy\nq,babsr\n", "no 'verdict' column"),
+    ("query_id,strategy,verdict,wall_time_ms,iterations,splits,seed,"
+     "checkpoint\nq,babsr,SAT,fast,1,0,0,\n", "fast"),
+], ids=["missing", "lacks-column", "bad-value"])
+def test_report_bad_records_exit_with_one_line(tmp_path, text, reason):
+    records = tmp_path / "records.csv"
+    if text is not None:
+        records.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main(["report", "--records", str(records), "--budget-ms", "1000"])
+    message = str(exc.value.code)
+    assert message.startswith(f"cannot read {records}: ")
+    assert reason in message and "\n" not in message
+    assert not (tmp_path / "summary.csv").exists()
+
+
+def test_train_without_demonstrations_exits_with_one_line(tmp_path):
+    # the first query of this suite is solved without a split below the
+    # initial depth, so a one-query demonstration slice yields nothing
+    suite = tmp_path / "suite"
+    assert main(["gen", "--count", "3", "--seed", "1",
+                 "--out", str(suite)]) == 0
+    out = tmp_path / "agent"
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--suite-dir", str(suite), "--out", str(out),
+              "--demo-fraction", "0", "--demo-epochs", "0",
+              "--finetune-epochs", "0"])
+    message = str(exc.value.code)
+    assert message.startswith("no demonstration transitions were produced")
+    assert "--demo-fraction" in message and "\n" not in message
+    assert not out.exists()
